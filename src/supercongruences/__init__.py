@@ -4,7 +4,6 @@ families built on them."""
 
 from .errors import (
     CongruenceError,
-    GuardrailExceeded,
     HypothesisViolated,
     NonIntegralDenominator,
     ZeroLowerPochhammer,
@@ -35,7 +34,6 @@ from .padic import (
     PrimePower,
     Residue,
     g1_estimate,
-    gamma_p,
     gamma_p_int,
     least_nonneg_residue,
     reduce_mod,

@@ -23,6 +23,3 @@ class HypothesisViolated(CongruenceError):
     This is a usage error, never a counterexample.
     """
 
-
-class GuardrailExceeded(CongruenceError):
-    """The requested modulus p^k exceeds the configured work bound."""

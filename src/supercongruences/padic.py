@@ -5,20 +5,23 @@ to p, carrying a sign (-1)^n, with Gamma(0) = 1. It extends continuously
 to p-adic integers: if m ≡ n (mod p^k) then Gamma(m) ≡ Gamma(n) (mod p^k),
 so a rational argument x is evaluated at its canonical representative in
 [0, p^k).
+
+The product is taken in blocks (after Bostan, Gaudry and Schost, SIAM J.
+Comput. 2007). For n = A p + b it is f(0) f(p) ... f((A-1) p) times the
+units in (A p, n), where f(x) = (x + 1)(x + 2)...(x + p - 1). Since
+x^i ≡ 0 (mod p^k) for x = a p and i >= k, only the k lowest coefficients
+of f matter: they are found once in O(p k), and each block is then a
+k-term Horner evaluation, O(p^(k-1) k) in all instead of O(p^k).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GuardrailExceeded, NonIntegralDenominator
+from .errors import NonIntegralDenominator
 from .primes import is_prime
-
-DEFAULT_GAMMA_BOUND = 10_000_000
-GAMMA_BOUND_ENV = "SUPERCONGRUENCES_GAMMA_BOUND"
 
 
 def valuation(q: Fraction | int, p: int) -> int | float:
@@ -163,20 +166,25 @@ def least_nonneg_residue(x: Fraction | int, p: int) -> int:
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-def _unit_product(n: int, p: int, modulus: int) -> int:
-    """Product of 1 <= j < n with p not dividing j, reduced mod modulus.
-
-    The range is walked in runs between consecutive multiples of p; each
-    run is multiplied out with math.prod and reduced once.
-    """
+def _unit_product(n: int, ctx: PrimePower) -> int:
+    """Product of 1 <= j < n with p not dividing j, reduced mod p^k."""
+    p, k, m = ctx.p, ctx.k, ctx.modulus
+    # the k lowest coefficients c_i of f(x) = (x + 1)...(x + p - 1), mod p^k
+    c = [1] + [0] * (k - 1)
+    for j in range(1, p):
+        for i in range(k - 1, 0, -1):
+            c[i] = (c[i] * j + c[i - 1]) % m
+        c[0] = c[0] * j % m
+    # f(a p) ≡ sum_i (c_i p^i) a^i, evaluated by Horner from the top
+    horner = [c[i] * p**i % m for i in reversed(range(k))]
+    blocks = n // p
     acc = 1
-    a = 0
-    while a * p + 1 < n:
-        lo = a * p + 1
-        hi = min(n, (a + 1) * p)
-        acc = acc * math.prod(range(lo, hi)) % modulus
-        a += 1
-    return acc
+    for a in range(blocks):
+        f = 0
+        for d in horner:
+            f = f * a + d
+        acc = acc * f % m
+    return acc * math.prod(range(blocks * p + 1, n)) % m
 
 
 def gamma_p_int(n: int, ctx: PrimePower) -> Residue:
@@ -184,49 +192,18 @@ def gamma_p_int(n: int, ctx: PrimePower) -> Residue:
     1 <= j < n coprime to p, mod p^k; the n = 0 value is 1."""
     if n < 0:
         raise ValueError(f"gamma_p_int needs n >= 0, got {n}")
-    if n == 0:
-        return Residue(1, ctx)
     sign = -1 if n % 2 else 1
-    return Residue(sign * _unit_product(n, ctx.p, ctx.modulus), ctx)
-
-
-def _gamma_bound(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(GAMMA_BOUND_ENV)
-    return int(env) if env else DEFAULT_GAMMA_BOUND
+    return Residue(sign * _unit_product(n, ctx), ctx)
 
 
 class GammaContext:
-    """Caching evaluator for Gamma at p-adic rational arguments.
+    """Gamma at p-adic rationals: gamma_p_int at the representative mod p^k."""
 
-    Each argument is reduced to its representative in [0, p^k) and fed to
-    the integer product; the cache maps representatives to residues.
-    Cache insertion under the same key always stores the same value, so
-    concurrent lookups are race-free; recomputation is a valid fallback.
-    """
-
-    def __init__(self, ctx: PrimePower, max_modulus: int | None = None) -> None:
+    def __init__(self, ctx: PrimePower) -> None:
         self.ctx = ctx
-        self.max_modulus = _gamma_bound(max_modulus)
-        self.cache: dict[int, Residue] = {}
 
     def gamma(self, x: Fraction | int) -> Residue:
-        if self.ctx.modulus > self.max_modulus:
-            raise GuardrailExceeded(
-                f"modulus {self.ctx} = {self.ctx.modulus} exceeds work bound "
-                f"{self.max_modulus}"
-            )
-        rep = reduce_mod(x, self.ctx).value
-        hit = self.cache.get(rep)
-        if hit is None:
-            hit = self.cache[rep] = gamma_p_int(rep, self.ctx)
-        return hit
-
-
-def gamma_p(x: Fraction | int, gc: GammaContext) -> Residue:
-    """Gamma at a p-adic rational, through a caching context."""
-    return gc.gamma(x)
+        return gamma_p_int(reduce_mod(x, self.ctx).value, self.ctx)
 
 
 def g1_estimate(x: Fraction | int, p: int) -> Residue:

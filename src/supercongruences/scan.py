@@ -17,7 +17,9 @@ resume instead of recomputing.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,14 +40,53 @@ class ConjectureCell:
 
     def line(self) -> str:
         return (
-            f"{self.d} {self.n} {self.value.numerator} {self.value.denominator} "
-            f"{1 if self.is_integer else 0}"
+            f"{self.d} {self.n} {_int_text(self.value.numerator)} "
+            f"{_int_text(self.value.denominator)} {1 if self.is_integer else 0}"
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "n": self.n,
+            "numerator": _int_text(self.value.numerator),
+            "denominator": _int_text(self.value.denominator),
+            "is_integer": self.is_integer,
+        }
+
+    def value_text(self) -> str:
+        num, den = self.value.numerator, self.value.denominator
+        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
     @classmethod
     def from_line(cls, line: str) -> ConjectureCell:
-        d, n, num, den, flag = line.split()
-        return cls(int(d), int(n), Fraction(int(num), int(den)), flag == "1")
+        """Parse one state line; ValueError unless it is a consistent cell."""
+        d, n, num, den, flag = map(_parse_int, line.split())  # ValueError unless 5 fields
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        value = Fraction(num, den)
+        if value.denominator != den:
+            raise ValueError("value is not in lowest terms")
+        if flag != (den == 1):
+            raise ValueError(f"is_integer flag {flag} disagrees with denominator")
+        return cls(d, n, value, den == 1)
+
+
+def _int_text(value: int) -> str:
+    """str(), exact past the int/str digit limit (4300 by default) via Decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def _parse_int(text: str) -> int:
+    """Inverse of _int_text: only fields int() refuses take the slower Decimal."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.removeprefix("-").isdecimal():
+            raise
+        return int(Decimal(text))
 
 
 def admissible_n(d: int, n_max: int) -> list[int]:
@@ -66,17 +107,29 @@ def conjecture_value(d: int, n: int) -> Fraction:
 
 
 def load_cells(state_path: str | Path) -> dict[tuple[int, int], ConjectureCell]:
-    """Read persisted cells keyed by (d, n); a missing file is empty state."""
+    """Read persisted cells keyed by (d, n); a missing file is empty state.
+
+    A cell is committed by its newline. A last line without one is what an
+    interrupted write leaves: it is dropped with a warning and cut from the
+    file, so the next cell starts a line of its own. Any other bad line is
+    a ValueError naming the file and line."""
     path = Path(state_path)
     if not path.exists():
         return {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    tail = lines.pop()  # "" unless the last write was cut short
     cells: dict[tuple[int, int], ConjectureCell] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        cell = ConjectureCell.from_line(line)
-        cells[(cell.d, cell.n)] = cell
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                cell = ConjectureCell.from_line(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad state line {line[:60]!r}: {exc}") from None
+            cells[(cell.d, cell.n)] = cell
+    if tail:
+        log.warning("%s:%d: dropping torn last line %r", path, len(lines) + 1, tail[:60])
+        os.truncate(path, path.stat().st_size - len(tail.encode("utf-8")))
     return cells
 
 
@@ -101,7 +154,7 @@ def scan_conjecture(
             if state_path is not None:
                 _append(state_path, cell)
         if not cell.is_integer:
-            log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, cell.value)
+            log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, cell.value_text())
         out.append(cell)
     return out
 

@@ -252,7 +252,7 @@ def verify_sun(alpha: Fraction | int, p: int) -> Report:
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
-def verify_dflst(d: int, p: int, strength: int = 2, gamma_bound: int | None = None) -> Report:
+def verify_dflst(d: int, p: int, strength: int = 2) -> Report:
     """dF_{d-1}((1-1/d)^d; 1^{d-1} | 1)_{p-1} ≡ -Gamma_p(1/d)^d
     (mod p^strength), strength 2 for d >= 2 and 3 for d >= 3."""
     _require(d > 1, f"need d > 1, got {d}")
@@ -264,11 +264,11 @@ def verify_dflst(d: int, p: int, strength: int = 2, gamma_bound: int | None = No
     t0 = perf_counter()
     ctx = PrimePower(p, strength)
     lhs = evaluate_mod(dflst_series(d, p - 1), ctx)
-    rhs = -(GammaContext(ctx, gamma_bound).gamma(Fraction(1, d)) ** d)
+    rhs = -(GammaContext(ctx).gamma(Fraction(1, d)) ** d)
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
-def verify_guo_linear(d: int, p: int, gamma_bound: int | None = None) -> Report:
+def verify_guo_linear(d: int, p: int) -> Report:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
     _require(d > 1, f"need d > 1, got {d}")
     _require_prime(p)
@@ -279,7 +279,7 @@ def verify_guo_linear(d: int, p: int, gamma_bound: int | None = None) -> Report:
     ctx = PrimePower(p, 2)
     weighted = affine_weighted_sum(AffineWeight(1, 0), dflst_series(d, p - 1))
     lhs = reduce_mod(weighted, ctx)
-    g = GammaContext(ctx, gamma_bound).gamma(Fraction(1, d))
+    g = GammaContext(ctx).gamma(Fraction(1, d))
     rhs = reduce_mod(Fraction(d - 1, 2 * d), ctx) * g**d
     return _finish(case, lhs, rhs, str(ctx), t0)
 
@@ -297,7 +297,7 @@ def _require_guo_odd(d: int, p: int) -> None:
     _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
 
 
-def verify_guo_even(d: int, p: int, gamma_bound: int | None = None) -> Report:
+def verify_guo_even(d: int, p: int) -> Report:
     """dF_{d-1}(1/d-1, (1+1/d)^{d-1}; 1^{d-1} | 1)_{p-1} ≡
     (d-1)/d^2 Gamma_p(-1/d)^d (mod p^2) for even d, p ≡ -1 (mod d)."""
     _require_guo_even(d, p)
@@ -305,12 +305,12 @@ def verify_guo_even(d: int, p: int, gamma_bound: int | None = None) -> Report:
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_even_series(d, p - 1), ctx)
-    g = GammaContext(ctx, gamma_bound).gamma(Fraction(-1, d))
+    g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(d - 1, d * d), ctx) * g**d
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
-def verify_guo_odd(d: int, p: int, gamma_bound: int | None = None) -> Report:
+def verify_guo_odd(d: int, p: int) -> Report:
     """dF_{d-1}(1/d, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡
     -1/d^2 Gamma_p(-1/d)^d (mod p^2) for odd d, p ≡ -1 (mod d)."""
     _require_guo_odd(d, p)
@@ -318,7 +318,7 @@ def verify_guo_odd(d: int, p: int, gamma_bound: int | None = None) -> Report:
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_odd_series(d, p - 1), ctx)
-    g = GammaContext(ctx, gamma_bound).gamma(Fraction(-1, d))
+    g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(-1, d * d), ctx) * g**d
     return _finish(case, lhs, rhs, str(ctx), t0)
 
@@ -482,7 +482,7 @@ REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_case(case: Case, gamma_bound: int | None = None) -> Report:
+def run_case(case: Case) -> Report:
     """Run the verifier a Case describes."""
     kind = case.kind
     missing = [name for name in REQUIRED_PARAMS.get(kind, ()) if getattr(case, name) is None]
@@ -493,13 +493,13 @@ def run_case(case: Case, gamma_bound: int | None = None) -> Report:
     if kind == "sun":
         return verify_sun(case.alpha, case.p)
     if kind == "dflst":
-        return verify_dflst(case.d, case.p, case.strength or 2, gamma_bound)
+        return verify_dflst(case.d, case.p, case.strength or 2)
     if kind == "guo-linear":
-        return verify_guo_linear(case.d, case.p, gamma_bound)
+        return verify_guo_linear(case.d, case.p)
     if kind == "guo-even":
-        return verify_guo_even(case.d, case.p, gamma_bound)
+        return verify_guo_even(case.d, case.p)
     if kind == "guo-odd":
-        return verify_guo_odd(case.d, case.p, gamma_bound)
+        return verify_guo_odd(case.d, case.p)
     if kind == "guo-central":
         return verify_guo_central(case.p, case.r)
     if kind == "harmonic-even":

@@ -9,6 +9,7 @@ import pytest
 
 import supercongruences.cli as cli
 import supercongruences.scan as scan_mod
+from supercongruences.errors import CongruenceError
 from supercongruences.suite import (
     SuiteConfig,
     all_pass,
@@ -122,7 +123,7 @@ class TestVerifyCommand:
         # no true congruence fails, so fake a failing report to pin the
         # exit-code wiring
         failing = Report(Case("rv", p=5), None, None, "5^2", False, 0.0)
-        monkeypatch.setattr(cli, "run_case", lambda case, bound: failing)
+        monkeypatch.setattr(cli, "run_case", lambda case: failing)
         assert cli.main(["verify", "rv", "--p", "5"]) == 1
 
     def test_alpha_parsing(self):
@@ -158,26 +159,30 @@ class TestSuiteCommand:
         import supercongruences.suite as suite_mod
 
         failing = Report(Case("rv", p=5), None, None, "5^2", False, 0.0)
-        monkeypatch.setattr(suite_mod, "run_case", lambda case, bound: failing)
+        monkeypatch.setattr(suite_mod, "run_case", lambda case: failing)
         assert cli.main(["suite", "--p-max", "7", "--d-set", "3"]) == 1
 
-    def test_partial_results_written_on_error(self, tmp_path, capsys):
-        # a tiny work bound makes the first Gamma-backed case blow up;
-        # the cases that already finished must still land in the file
+    def test_partial_results_written_on_error(self, tmp_path, monkeypatch, capsys):
+        # the first Gamma-backed case blows up; the cases that already
+        # finished must still land in the file
+        import supercongruences.suite as suite_mod
+
+        real = suite_mod.run_case
+
+        def run_case(case):
+            if case.kind in ("dflst", "guo-linear", "guo-even", "guo-odd"):
+                raise CongruenceError(f"injected failure in {case.kind}")
+            return real(case)
+
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
         out = tmp_path / "partial.csv"
         code = cli.main(
-            ["suite", "--p-max", "11", "--d-set", "3", "--gamma-bound", "10",
-             "--format", "csv", "--out", str(out)]
+            ["suite", "--p-max", "11", "--d-set", "3", "--format", "csv", "--out", str(out)]
         )
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "injected failure" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0].startswith("case_id") and len(lines) > 1
-
-    def test_env_var_guardrail(self, monkeypatch, capsys):
-        monkeypatch.setenv("SUPERCONGRUENCES_GAMMA_BOUND", "10")
-        assert cli.main(["verify", "dflst", "--d", "3", "--p", "7"]) == 2
-        assert "work bound" in capsys.readouterr().err
 
 
 class TestScanCommand:
@@ -206,6 +211,30 @@ class TestScanCommand:
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 3
         captured = capsys.readouterr()
         assert "NON-INTEGRAL" in captured.err and "7/2" in captured.err
+
+    def test_inconsistent_flag_is_usage_error(self, tmp_path, capsys):
+        # the integer 5 flagged non-integral is a corrupt line, not a finding
+        state = tmp_path / "state.txt"
+        state.write_text("2 3 5 1 0\n", encoding="utf-8")
+        assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 2
+        assert f"{state}:1" in capsys.readouterr().err
+
+    def test_torn_last_line_is_dropped(self, tmp_path, capsys):
+        state = tmp_path / "state.txt"
+        state.write_text("2 3 5 1 1\n2 5 12", encoding="utf-8")
+        assert cli.main(["scan", "--d", "2", "--n-max", "7", "--state", str(state)]) == 0
+        assert [line.split()[:2] for line in state.read_text().splitlines()] == [
+            ["2", "3"], ["2", "5"], ["2", "7"]
+        ]
+
+    def test_value_past_int_str_limit(self, monkeypatch, capsys):
+        big = 10**5000 + 7  # str() refuses more than 4300 digits
+        monkeypatch.setattr(scan_mod, "conjecture_value", lambda d, n: F(big))
+        assert cli.main(["scan", "--d", "2", "--n-max", "3", "--format", "json"]) == 0
+        [cell] = json.loads(capsys.readouterr().out)
+        assert cell["numerator"] == "1" + "0" * 4999 + "7"
+        assert cli.main(["scan", "--d", "2", "--n-max", "3"]) == 0
+        assert capsys.readouterr().out.split()[2] == "1" + "0" * 4999 + "7"
 
     def test_json_format(self, capsys):
         assert cli.main(["scan", "--d", "2", "--n-max", "5", "--format", "json"]) == 0

@@ -5,22 +5,39 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supercongruences.errors import GuardrailExceeded, NonIntegralDenominator
+from supercongruences.errors import NonIntegralDenominator
 from supercongruences.exact import factorial
 from supercongruences.padic import (
     GammaContext,
     PrimePower,
     Residue,
     g1_estimate,
-    gamma_p,
     gamma_p_int,
     least_nonneg_residue,
     reduce_mod,
     valuation,
 )
 
+from supercongruences.primes import odd_primes_up_to
+
 F = Fraction
+
+
+def chunked_unit_product(n, p, modulus):
+    """Test oracle: the product of 1 <= j < n with p not dividing j, mod
+    modulus, walked in runs between consecutive multiples of p (the
+    library's method before the block product)."""
+    acc = 1
+    a = 0
+    while a * p + 1 < n:
+        lo = a * p + 1
+        hi = min(n, (a + 1) * p)
+        acc = acc * math.prod(range(lo, hi)) % modulus
+        a += 1
+    return acc
 
 
 def sample_padic_integers(rng, p, count, unit_only=False):
@@ -145,15 +162,26 @@ class TestGammaInteger:
                     assert gamma_p_int(n, ctx) == expected
 
     def test_matches_naive_product(self):
-        # independent oracle: unchunked loop
-        for p, k in ((5, 2), (7, 2), (13, 1)):
+        # independent oracle: the defining product, one factor at a time
+        for p, k in ((5, 2), (7, 2), (13, 1), (3, 4), (5, 3), (7, 3), (11, 3)):
             ctx = PrimePower(p, k)
+            acc = 1
             for n in range(ctx.modulus):
-                acc = 1
-                for j in range(1, n):
-                    if j % p:
-                        acc = acc * j % ctx.modulus
                 assert gamma_p_int(n, ctx).value == (-1) ** n * acc % ctx.modulus
+                if n % p:
+                    acc = acc * n % ctx.modulus
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from(odd_primes_up_to(60)),
+        k=st.integers(1, 4),
+        n=st.integers(0, 100_000),
+    )
+    def test_matches_chunked_oracle(self, p, k, n):
+        # n ranges over many blocks, and past p^k when p^k is small
+        ctx = PrimePower(p, k)
+        expected = (-1) ** n * chunked_unit_product(n, p, ctx.modulus) % ctx.modulus
+        assert gamma_p_int(n, ctx).value == expected
 
 
 class TestGammaRational:
@@ -183,25 +211,6 @@ class TestGammaRational:
     def test_rejects_non_integral_argument(self):
         with pytest.raises(NonIntegralDenominator):
             GammaContext(PrimePower(5, 2)).gamma(F(1, 5))
-
-    def test_guardrail(self):
-        gc = GammaContext(PrimePower(199, 3), max_modulus=10**6)
-        with pytest.raises(GuardrailExceeded):
-            gc.gamma(F(1, 3))
-
-    def test_guardrail_env_override(self, monkeypatch):
-        monkeypatch.setenv("SUPERCONGRUENCES_GAMMA_BOUND", "100")
-        with pytest.raises(GuardrailExceeded):
-            GammaContext(PrimePower(11, 3)).gamma(1)
-
-    def test_module_function_delegates(self):
-        gc = GammaContext(PrimePower(5, 2))
-        assert gamma_p(F(1, 2), gc) == gc.gamma(F(1, 2))
-
-    def test_cache_reuse(self):
-        gc = GammaContext(PrimePower(7, 2))
-        first = gc.gamma(F(1, 3))
-        assert gc.gamma(F(1, 3)) is first
 
 
 class TestGammaFunctionalEquations:

@@ -1,5 +1,6 @@
 """Conjecture integrality scan: values, admissibility, persistence."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,68 @@ class TestScan:
         cell = ConjectureCell(2, 3, F(5), True)
         assert cell.line() == "2 3 5 1 1"
         assert ConjectureCell.from_line("2 3 5 1 1") == cell
+
+
+class TestStateValidation:
+    def test_torn_last_line_dropped_and_cut(self, tmp_path, caplog):
+        state = tmp_path / "cells.txt"
+        state.write_text("2 3 5 1 1\n2 5 12", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert list(load_cells(state)) == [(2, 3)]
+        assert any("torn" in rec.message for rec in caplog.records)
+        assert state.read_text(encoding="utf-8") == "2 3 5 1 1\n"
+        # the next cell lands on a line of its own
+        cells = scan_conjecture(2, 7, state)
+        assert load_cells(state) == {(c.d, c.n): c for c in cells}
+
+    def test_line_without_newline_is_not_committed(self, tmp_path, caplog):
+        # a complete-looking cell whose newline never landed is dropped too,
+        # then recomputed and written whole
+        state = tmp_path / "cells.txt"
+        state.write_text("2 3 5 1 1", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            cells = scan_conjecture(2, 5, state)
+        assert any("torn" in rec.message for rec in caplog.records)
+        assert state.read_text(encoding="utf-8") == "".join(c.line() + "\n" for c in cells)
+
+    def test_bad_line_mid_file_names_file_and_line(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        state.write_text("2 3 5 1 1\n2 5 12\n2 7 33 1 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2: ") + ".*expected 5"):
+            load_cells(state)
+
+    def test_bad_newline_terminated_last_line_is_an_error(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        state.write_text("2 3 5 1 1\n2 5 12\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2:")):
+            scan_conjecture(2, 7, state)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("2 3 5 1 0", "flag"),  # the integer 5 flagged non-integral
+            ("2 3 7 2 1", "flag"),
+            ("2 3 10 2 0", "lowest terms"),
+            ("2 3 5 0 0", "positive"),
+            ("2 3 -5 -1 1", "positive"),
+            ("2 3 5 1 x", "invalid literal"),
+            ("2 3 5 1 1 1", "expected 5"),
+        ],
+    )
+    def test_inconsistent_line_rejected(self, tmp_path, line, reason):
+        with pytest.raises(ValueError, match=reason):
+            ConjectureCell.from_line(line)
+        state = tmp_path / "cells.txt"
+        state.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:1:")):
+            scan_conjecture(2, 3, state)
+
+    def test_values_past_int_str_limit_round_trip(self, tmp_path):
+        # str(int) and int(str) refuse more than 4300 digits by default
+        num, den = 7**6000 + 2, 3**9000
+        cell = ConjectureCell(4, 391, F(num, den), False)
+        assert ConjectureCell.from_line(cell.line()) == cell
+        assert cell.value_text().startswith(cell.line().split()[2] + "/")
+        state = tmp_path / "cells.txt"
+        scan_mod._append(state, cell)
+        assert load_cells(state) == {(4, 391): cell}

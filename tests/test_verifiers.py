@@ -92,6 +92,10 @@ class TestDflst:
         assert verify_dflst(3, 7, 3).verdict
         assert verify_dflst(4, 13, 3).verdict
 
+    def test_strength_three_modulus_past_ten_million(self):
+        # 223^3 > 10^7, a modulus the product of p^k factors could not reach
+        assert verify_dflst(3, 223, 3).verdict
+
     def test_precision_descent(self):
         strong = verify_dflst(3, 7, 3)
         weak = verify_dflst(3, 7, 2)
