@@ -46,6 +46,7 @@ from .verifiers import (
     CASE_KINDS,
     Case,
     Report,
+    admissible,
     run_case,
     verify_combined,
     verify_dflst,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CongruenceError
@@ -104,17 +105,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    case = Case(
-        kind=args.case,
-        d=args.d,
-        p=args.p,
-        r=args.r,
-        n=args.n,
-        strength=args.strength,
-        alpha=args.alpha,
-        x=args.x,
-        y=args.y,
-    )
+    params = {f.name: getattr(args, f.name) for f in fields(Case) if f.name != "kind"}
+    case = Case(args.case, **params)
     report = run_case(case)
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2), args.out)

@@ -14,11 +14,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CongruenceError
+# primes_in_class is unused here but stays bound: bench/tracing.py wraps it by name
 from .primes import odd_primes_up_to, primes_in_class
-from .verifiers import Case, Report, run_case
+from .verifiers import Case, Report, admissible, run_case
 
 DEFAULT_SUN_ALPHAS = (
     Fraction(1, 2),
@@ -61,6 +62,14 @@ class SuiteConfig:
             raise ValueError(f"p_max must be >= 5, got {self.p_max}")
         if any(d < 2 for d in self.d_set):
             raise ValueError(f"every d must be >= 2, got {self.d_set}")
+        if self.max_strength not in (2, 3):
+            raise ValueError(f"max_strength must be 2 or 3, got {self.max_strength}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        for d, p in self.deformed_pairs:
+            reason = admissible(Case("km-deformed", d=d, p=p, x=Fraction(0), y=Fraction(0)))
+            if reason:
+                raise ValueError(f"deformed pair (d={d}, p={p}): {reason}")
 
 
 def _deformed_points(cfg: SuiteConfig) -> list[tuple[Fraction, Fraction]]:
@@ -76,60 +85,33 @@ def _deformed_points(cfg: SuiteConfig) -> list[tuple[Fraction, Fraction]]:
     return points[: cfg.deformed_samples]
 
 
+def _candidates(cfg: SuiteConfig) -> Iterator[Case]:
+    """The grid of every kind's parameters within the configured bounds,
+    before the hypotheses are applied."""
+    for p in odd_primes_up_to(cfg.p_max):
+        yield Case("rv", p=p)
+        for d in cfg.d_set:
+            yield from (Case("dflst", d=d, p=p, strength=s) for s in range(2, cfg.max_strength + 1))
+            yield from (Case(k, d=d, p=p) for k in ("guo-linear", "guo-even", "guo-odd", "combined"))
+            if p <= cfg.harmonic_p_max:
+                yield from (Case(k, d=d, p=p) for k in ("harmonic-even", "harmonic-odd"))
+        for r in range(1, cfg.r_max + 1):
+            if p**r - 1 <= cfg.p_max:
+                yield from (Case(k, p=p, r=r) for k in ("guo-central", "liu"))
+    for alpha in cfg.sun_alphas:
+        yield from (Case("sun", p=p, alpha=alpha) for p in odd_primes_up_to(cfg.sun_p_max))
+    yield from (Case("four-k-plus-one", n=n) for n in range(1, cfg.identity_n_max + 1))
+    for d in cfg.d_set:
+        yield from (Case("three-series", d=d, n=t) for t in range(cfg.three_series_trunc + 1))
+    points = _deformed_points(cfg)
+    for d, p in cfg.deformed_pairs:
+        yield from (Case("km-deformed", d=d, p=p, x=x, y=y) for x, y in points)
+
+
 def enumerate_cases(cfg: SuiteConfig) -> list[Case]:
     """Every admissible case within the configured bounds, sorted by
     case id then parameters."""
-    cases: list[Case] = []
-
-    for p in primes_in_class(1, 2, cfg.p_max):
-        if p >= 5:
-            cases.append(Case("rv", p=p))
-
-    for alpha in cfg.sun_alphas:
-        for p in odd_primes_up_to(cfg.sun_p_max):
-            if alpha.numerator % p and alpha.denominator % p:
-                cases.append(Case("sun", p=p, alpha=alpha))
-
-    for d in cfg.d_set:
-        for p in primes_in_class(1, d, cfg.p_max):
-            cases.append(Case("dflst", d=d, p=p, strength=2))
-            if d >= 3 and cfg.max_strength >= 3:
-                cases.append(Case("dflst", d=d, p=p, strength=3))
-            cases.append(Case("guo-linear", d=d, p=p))
-
-    for d in cfg.d_set:
-        if d % 2 == 0 and d >= 4:
-            for p in primes_in_class(-1, d, cfg.p_max):
-                if p >= 2 * d - 1:
-                    cases.append(Case("guo-even", d=d, p=p))
-                    if p <= cfg.harmonic_p_max:
-                        cases.append(Case("harmonic-even", d=d, p=p))
-        if d % 2 == 1 and d >= 3:
-            for p in primes_in_class(-1, d, cfg.p_max):
-                cases.append(Case("guo-odd", d=d, p=p))
-                if p <= cfg.harmonic_p_max:
-                    cases.append(Case("harmonic-odd", d=d, p=p))
-        if d >= 3:
-            for p in primes_in_class(-1, d, cfg.p_max):
-                if p != d - 1:
-                    cases.append(Case("combined", d=d, p=p))
-
-    for r in range(1, cfg.r_max + 1):
-        for p in primes_in_class(1, 4, cfg.p_max):
-            if p**r - 1 <= cfg.p_max:
-                cases.append(Case("guo-central", p=p, r=r))
-                cases.append(Case("liu", p=p, r=r))
-
-    cases.extend(Case("four-k-plus-one", n=n) for n in range(1, cfg.identity_n_max + 1))
-
-    for d in cfg.d_set:
-        cases.extend(Case("three-series", d=d, n=t) for t in range(cfg.three_series_trunc + 1))
-
-    points = _deformed_points(cfg)
-    for d, p in cfg.deformed_pairs:
-        cases.extend(Case("km-deformed", d=d, p=p, x=x, y=y) for x, y in points)
-
-    return sorted(cases, key=Case.sort_key)
+    return sorted((c for c in _candidates(cfg) if admissible(c) is None), key=Case.sort_key)
 
 
 def run_suite(

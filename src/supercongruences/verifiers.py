@@ -5,7 +5,7 @@ usage error), evaluates both sides in the stated modulus, and returns a
 Report carrying both residues; a bare boolean would make failures
 undiagnosable.
 
-Case kinds:
+Case kinds, one entry each in ``KINDS``:
 
 * ``rv``: Rodriguez-Villegas: 2F1(1/2,1/2;1|1) over k < p equals
   (-1)^((p-1)/2) mod p^2.
@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolated, NonIntegralDenominator
 from .exact import binomial, factorial, pochhammer
@@ -55,23 +56,6 @@ from .padic import GammaContext, PrimePower, Residue, least_nonneg_residue, redu
 from .primes import is_prime
 
 HALF = Fraction(1, 2)
-
-CASE_KINDS = (
-    "rv",
-    "sun",
-    "dflst",
-    "guo-linear",
-    "guo-even",
-    "guo-odd",
-    "guo-central",
-    "harmonic-even",
-    "harmonic-odd",
-    "four-k-plus-one",
-    "liu",
-    "three-series",
-    "combined",
-    "km-deformed",
-)
 
 
 @dataclass(frozen=True)
@@ -228,9 +212,13 @@ def combined_series(d: int, n_trunc: int) -> SeriesSpec:
 # verifiers
 
 
+def _require_rv(p: int) -> None:
+    _require(is_prime(p) and p >= 5, f"need a prime p >= 5, got {p}")
+
+
 def verify_rodriguez_villegas(p: int) -> Report:
     """2F1(1/2,1/2;1|1)_{p-1} ≡ (-1)^((p-1)/2) (mod p^2)."""
-    _require(is_prime(p) and p >= 5, f"need a prime p >= 5, got {p}")
+    _require_rv(p)
     case = Case("rv", p=p)
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
@@ -239,11 +227,15 @@ def verify_rodriguez_villegas(p: int) -> Report:
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
+def _require_sun(alpha: Fraction, p: int) -> None:
+    _require_prime(p)
+    _require(valuation(alpha, p) == 0, f"alpha = {alpha} must be a unit at p = {p}")
+
+
 def verify_sun(alpha: Fraction | int, p: int) -> Report:
     """2F1(a,1-a;1|1)_{p-1} ≡ (-1)^{<-a>_p} (mod p^2) for a a p-adic unit."""
     alpha = Fraction(alpha)
-    _require_prime(p)
-    _require(valuation(alpha, p) == 0, f"alpha = {alpha} must be a unit at p = {p}")
+    _require_sun(alpha, p)
     case = Case("sun", p=p, alpha=alpha)
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
@@ -252,14 +244,18 @@ def verify_sun(alpha: Fraction | int, p: int) -> Report:
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
-def verify_dflst(d: int, p: int, strength: int = 2) -> Report:
-    """dF_{d-1}((1-1/d)^d; 1^{d-1} | 1)_{p-1} ≡ -Gamma_p(1/d)^d
-    (mod p^strength), strength 2 for d >= 2 and 3 for d >= 3."""
+def _require_dflst(d: int, p: int, strength: int = 2) -> None:
     _require(d > 1, f"need d > 1, got {d}")
     _require(strength in (2, 3), f"strength must be 2 or 3, got {strength}")
     _require(strength == 2 or d >= 3, f"strength 3 needs d >= 3, got d = {d}")
     _require_prime(p)
     _require(p % d == 1, f"need p ≡ 1 (mod {d}), got p = {p}")
+
+
+def verify_dflst(d: int, p: int, strength: int = 2) -> Report:
+    """dF_{d-1}((1-1/d)^d; 1^{d-1} | 1)_{p-1} ≡ -Gamma_p(1/d)^d
+    (mod p^strength), strength 2 for d >= 2 and 3 for d >= 3."""
+    _require_dflst(d, p, strength)
     case = Case("dflst", d=d, p=p, strength=strength)
     t0 = perf_counter()
     ctx = PrimePower(p, strength)
@@ -270,10 +266,7 @@ def verify_dflst(d: int, p: int, strength: int = 2) -> Report:
 
 def verify_guo_linear(d: int, p: int) -> Report:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
-    _require(d > 1, f"need d > 1, got {d}")
-    _require_prime(p)
-    _require(p % d == 1, f"need p ≡ 1 (mod {d}), got p = {p}")
-    _require((2 * d) % p != 0, f"need p coprime to 2d, got p = {p}, d = {d}")
+    _require_dflst(d, p)  # p ≡ 1 (mod d) makes the odd prime p coprime to 2d
     case = Case("guo-linear", d=d, p=p)
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
@@ -323,11 +316,15 @@ def verify_guo_odd(d: int, p: int) -> Report:
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
-def verify_guo_central(p: int, r: int) -> Report:
-    """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
+def _require_central(p: int, r: int) -> None:
     _require_prime(p)
     _require(p % 4 == 1, f"need p ≡ 1 (mod 4), got p = {p}")
     _require(r >= 1, f"need r >= 1, got {r}")
+
+
+def verify_guo_central(p: int, r: int) -> Report:
+    """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
+    _require_central(p, r)
     case = Case("guo-central", p=p, r=r)
     t0 = perf_counter()
     ctx = PrimePower(p, 2 * r + 1)
@@ -378,9 +375,13 @@ def verify_harmonic_odd(d: int, p: int) -> Report:
     return _finish_mod_p(case, lhs_exact, rhs_exact, p, t0)
 
 
+def _require_four_k_plus_one(n: int) -> None:
+    _require(n >= 1, f"need n >= 1, got {n}")
+
+
 def verify_four_k_plus_one(n: int) -> Report:
     """Exact identity: sum_{k<n} (4k+1)(1/2)_k^2/k!^2 = n^2 C(2n,n)^2/4^{2n-1}."""
-    _require(n >= 1, f"need n >= 1, got {n}")
+    _require_four_k_plus_one(n)
     case = Case("four-k-plus-one", n=n)
     t0 = perf_counter()
     lhs = affine_weighted_sum(AffineWeight(4, 1), central_series(n - 1))
@@ -390,9 +391,7 @@ def verify_four_k_plus_one(n: int) -> Report:
 
 def verify_liu(p: int, r: int) -> Report:
     """sum (1/2)_k^2/k!^2 over k < p^r ≡ 1 (mod p^2) for p ≡ 1 (mod 4)."""
-    _require_prime(p)
-    _require(p % 4 == 1, f"need p ≡ 1 (mod 4), got p = {p}")
-    _require(r >= 1, f"need r >= 1, got {r}")
+    _require_central(p, r)
     case = Case("liu", p=p, r=r)
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
@@ -401,12 +400,16 @@ def verify_liu(p: int, r: int) -> Report:
     return _finish(case, lhs, rhs, str(ctx), t0)
 
 
+def _require_three_series(d: int, n_trunc: int) -> None:
+    _require(d >= 2, f"need d >= 2, got {d}")
+    _require(n_trunc >= 0, f"need a truncation >= 0, got {n_trunc}")
+
+
 def verify_three_series(d: int, n_trunc: int) -> Report:
     """Exact relation: guo-even series + (d-1) * guo-odd series equals
     d * combined series, at every truncation; checked both termwise and
     on the sums."""
-    _require(d >= 2, f"need d >= 2, got {d}")
-    _require(n_trunc >= 0, f"need a truncation >= 0, got {n_trunc}")
+    _require_three_series(d, n_trunc)
     case = Case("three-series", d=d, n=n_trunc)
     t0 = perf_counter()
     sa = guo_even_series(d, n_trunc)
@@ -422,13 +425,17 @@ def verify_three_series(d: int, n_trunc: int) -> Report:
     return report if termwise else replace(report, verdict=False)
 
 
-def verify_combined(d: int, p: int) -> Report:
-    """dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡ 0 (mod p^2)
-    for d >= 3, p ≡ -1 (mod d), p != d-1."""
+def _require_combined(d: int, p: int) -> None:
     _require(d >= 3, f"need d >= 3, got {d}")
     _require_prime(p)
     _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
     _require(p != d - 1, f"p = d-1 = {p} is excluded")
+
+
+def verify_combined(d: int, p: int) -> Report:
+    """dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡ 0 (mod p^2)
+    for d >= 3, p ≡ -1 (mod d), p != d-1."""
+    _require_combined(d, p)
     case = Case("combined", d=d, p=p)
     t0 = perf_counter()
     ctx = PrimePower(p, 2)
@@ -461,59 +468,76 @@ def verify_km_deformed(d: int, p: int, x: Fraction | int, y: Fraction | int) -> 
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the registry of case kinds
 
 
-REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "rv": ("p",),
-    "sun": ("alpha", "p"),
-    "dflst": ("d", "p"),
-    "guo-linear": ("d", "p"),
-    "guo-even": ("d", "p"),
-    "guo-odd": ("d", "p"),
-    "guo-central": ("p", "r"),
-    "harmonic-even": ("d", "p"),
-    "harmonic-odd": ("d", "p"),
-    "four-k-plus-one": ("n",),
-    "liu": ("p", "r"),
-    "three-series": ("d", "n"),
-    "combined": ("d", "p"),
-    "km-deformed": ("d", "p", "x", "y"),
+class Kind(NamedTuple):
+    """A case kind: the Case fields its hypothesis check and its runner take,
+    in their positional order, and defaults for the optional ones."""
+
+    params: tuple[str, ...]
+    check: Callable[..., None]
+    run: Callable[..., Report]
+    defaults: dict[str, int] = {}
+
+
+# Runners are lambdas so each call finds verify_* by its module-global name,
+# which a caller may rebind (to trace it, say).
+KINDS: dict[str, Kind] = {
+    "rv": Kind(("p",), _require_rv, lambda *a: verify_rodriguez_villegas(*a)),
+    "sun": Kind(("alpha", "p"), _require_sun, lambda *a: verify_sun(*a)),
+    "dflst": Kind(
+        ("d", "p", "strength"), _require_dflst, lambda *a: verify_dflst(*a), defaults={"strength": 2}
+    ),
+    "guo-linear": Kind(("d", "p"), _require_dflst, lambda *a: verify_guo_linear(*a)),
+    "guo-even": Kind(("d", "p"), _require_guo_even, lambda *a: verify_guo_even(*a)),
+    "guo-odd": Kind(("d", "p"), _require_guo_odd, lambda *a: verify_guo_odd(*a)),
+    "guo-central": Kind(("p", "r"), _require_central, lambda *a: verify_guo_central(*a)),
+    "harmonic-even": Kind(("d", "p"), _require_guo_even, lambda *a: verify_harmonic_even(*a)),
+    "harmonic-odd": Kind(("d", "p"), _require_guo_odd, lambda *a: verify_harmonic_odd(*a)),
+    "four-k-plus-one": Kind(("n",), _require_four_k_plus_one, lambda *a: verify_four_k_plus_one(*a)),
+    "liu": Kind(("p", "r"), _require_central, lambda *a: verify_liu(*a)),
+    "three-series": Kind(("d", "n"), _require_three_series, lambda *a: verify_three_series(*a)),
+    "combined": Kind(("d", "p"), _require_combined, lambda *a: verify_combined(*a)),
+    "km-deformed": Kind(
+        ("d", "p", "x", "y"),
+        lambda d, p, x, y: _require_guo_even(d, p),
+        lambda *a: verify_km_deformed(*a),
+    ),
 }
+CASE_KINDS = tuple(KINDS)
+
+
+def _bind(case: Case) -> tuple[Kind, list]:
+    """The case's kind and its verifier's arguments; HypothesisViolated for
+    an unknown kind, a missing parameter or one the kind does not take."""
+    kind = KINDS.get(case.kind)
+    if kind is None:
+        raise HypothesisViolated(f"unknown case kind {case.kind!r}")
+    given = {k: v for k, v in vars(case).items() if k != "kind" and v is not None}
+    args = {**kind.defaults, **given}
+    missing = [name for name in kind.params if name not in args]
+    if missing:
+        raise HypothesisViolated(f"case {case.kind!r} is missing parameters: {', '.join(missing)}")
+    extra = [name for name in given if name not in kind.params]
+    if extra:
+        names = ", ".join(extra)
+        raise HypothesisViolated(f"case {case.kind!r} does not take parameters: {names}")
+    return kind, [args[name] for name in kind.params]
+
+
+def admissible(case: Case) -> str | None:
+    """Why run_case would reject the case (the message of the
+    HypothesisViolated it would raise), or None if it is admissible."""
+    try:
+        kind, args = _bind(case)
+        kind.check(*args)
+    except HypothesisViolated as exc:
+        return str(exc)
+    return None
 
 
 def run_case(case: Case) -> Report:
     """Run the verifier a Case describes."""
-    kind = case.kind
-    missing = [name for name in REQUIRED_PARAMS.get(kind, ()) if getattr(case, name) is None]
-    if missing:
-        raise HypothesisViolated(f"case {kind!r} is missing parameters: {', '.join(missing)}")
-    if kind == "rv":
-        return verify_rodriguez_villegas(case.p)
-    if kind == "sun":
-        return verify_sun(case.alpha, case.p)
-    if kind == "dflst":
-        return verify_dflst(case.d, case.p, case.strength or 2)
-    if kind == "guo-linear":
-        return verify_guo_linear(case.d, case.p)
-    if kind == "guo-even":
-        return verify_guo_even(case.d, case.p)
-    if kind == "guo-odd":
-        return verify_guo_odd(case.d, case.p)
-    if kind == "guo-central":
-        return verify_guo_central(case.p, case.r)
-    if kind == "harmonic-even":
-        return verify_harmonic_even(case.d, case.p)
-    if kind == "harmonic-odd":
-        return verify_harmonic_odd(case.d, case.p)
-    if kind == "four-k-plus-one":
-        return verify_four_k_plus_one(case.n)
-    if kind == "liu":
-        return verify_liu(case.p, case.r)
-    if kind == "three-series":
-        return verify_three_series(case.d, case.n)
-    if kind == "combined":
-        return verify_combined(case.d, case.p)
-    if kind == "km-deformed":
-        return verify_km_deformed(case.d, case.p, case.x, case.y)
-    raise HypothesisViolated(f"unknown case kind {kind!r}")
+    kind, args = _bind(case)
+    return kind.run(*args)

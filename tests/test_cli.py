@@ -1,6 +1,7 @@
 """CLI exit codes, output formats, and suite plumbing."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -57,6 +58,47 @@ class TestSuiteEnumeration:
             SuiteConfig(p_max=3)
         with pytest.raises(ValueError):
             SuiteConfig(d_set=(1, 2))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"max_strength": 1}, "max_strength must be 2 or 3"),
+            ({"max_strength": 5}, "max_strength must be 2 or 3"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+            ({"jobs": -3}, "jobs must be >= 1"),
+            ({"deformed_pairs": ((4, 7), (4, 13))}, r"deformed pair \(d=4, p=13\): need p ≡ -1 \(mod 4\)"),
+            ({"deformed_pairs": ((5, 9),)}, "need even d >= 4, got 5"),
+        ],
+    )
+    def test_config_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SuiteConfig(**bad)
+
+    # sha256 of json.dumps([c.to_dict() for c in enumerate_cases(cfg)],
+    # sort_keys=True): the case lists the enumerator has always produced
+    @pytest.mark.parametrize(
+        "cfg,count,digest",
+        [
+            (SuiteConfig(seed=0), 941, "654d5751360e96e92fb64479b8bf15ab1cffba8522eecc5b0a53ef6e506b1b55"),
+            (SuiteConfig(seed=1), 941, "6edd41ed79f2c2d56fd78a1ef380cfd2b4269e6ccf4e9d56f538552e40304dbb"),
+            (SMALL, 135, "bf0f1b2ded85b2a318e6bf3a1f9252258301630d6e4349c763e36d7313956514"),
+            (
+                SuiteConfig(p_max=400, d_set=(2, 3, 4, 5, 6, 7, 8, 9, 10, 12), r_max=3, max_strength=2, harmonic_p_max=300),
+                1677,
+                "3b4f735a42e1d73a54fa898b391b620f6939f6cfd5433ee308a7d85345688184",
+            ),
+            (
+                SuiteConfig(p_max=1000, d_set=tuple(range(2, 16)), r_max=4),
+                3809,
+                "bbfc622d2eae72ec3008907a2c9ba1343f7daefed29f965f89d08e685e7e65be",
+            ),
+        ],
+    )
+    def test_pinned_case_lists(self, cfg, count, digest):
+        cases = enumerate_cases(cfg)
+        text = json.dumps([c.to_dict() for c in cases], sort_keys=True)
+        assert len(cases) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSuiteRun:
@@ -119,6 +161,14 @@ class TestVerifyCommand:
     def test_missing_params_exit_two(self, capsys):
         assert cli.main(["verify", "dflst", "--d", "3"]) == 2
 
+    def test_strength_zero_exit_two(self, capsys):
+        assert cli.main(["verify", "dflst", "--d", "3", "--p", "7", "--strength", "0"]) == 2
+        assert "strength must be 2 or 3, got 0" in capsys.readouterr().err
+
+    def test_unused_params_exit_two(self, capsys):
+        assert cli.main(["verify", "rv", "--p", "7", "--d", "3"]) == 2
+        assert "case 'rv' does not take parameters: d" in capsys.readouterr().err
+
     def test_failure_exit_one(self, capsys, monkeypatch):
         # no true congruence fails, so fake a failing report to pin the
         # exit-code wiring
@@ -154,6 +204,10 @@ class TestSuiteCommand:
         assert code == 0
         first = out.read_text().splitlines()[0]
         assert first.startswith("case_id,d,p,r,n,modulus")
+
+    def test_bad_jobs_exit_two(self, capsys):
+        assert cli.main(["suite", "--p-max", "7", "--jobs", "-3"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_suite_failure_exit_one(self, monkeypatch, capsys):
         import supercongruences.suite as suite_mod

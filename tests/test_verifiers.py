@@ -1,16 +1,25 @@
 """Per-family verifier behavior: passing instances, hypothesis guards,
 report structure, and the cross-family consistency checks."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import supercongruences.verifiers as verifiers_mod
 from supercongruences.errors import HypothesisViolated
 from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact
-from supercongruences.padic import PrimePower, reduce_mod, valuation
+from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
 from supercongruences.verifiers import (
+    CASE_KINDS,
+    KINDS,
     Case,
     Report,
+    admissible,
     central_series,
     run_case,
     verify_combined,
@@ -332,7 +341,99 @@ class TestReportsAndDispatch:
         with pytest.raises(HypothesisViolated):
             run_case(Case("dflst", d=3))
 
+    def test_params_the_kind_does_not_take(self):
+        with pytest.raises(HypothesisViolated, match="does not take parameters: d, strength"):
+            run_case(Case("rv", d=3, p=7, strength=2))
+        assert admissible(Case("rv", d=3, p=7)) == "case 'rv' does not take parameters: d"
+
+    def test_strength_defaults_only_when_absent(self):
+        assert run_case(Case("dflst", d=3, p=7)).case.strength == 2
+        with pytest.raises(HypothesisViolated, match="strength must be 2 or 3, got 0"):
+            run_case(Case("dflst", d=3, p=7, strength=0))
+
     def test_dispatch_matches_direct_call(self):
         direct = verify_guo_even(4, 7)
         dispatched = run_case(Case("guo-even", d=4, p=7))
         assert direct == dispatched
+
+
+# ---------------------------------------------------------------------------
+# the case-kind registry
+
+small_fraction = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+# deformation points strictly above -1, where no lower Pochhammer vanishes
+deformation = st.integers(2, 9).flatmap(
+    lambda den: st.builds(F, st.integers(-den + 1, 3 * den), st.just(den))
+)
+PARAM_VALUES = {
+    "d": st.one_of(st.integers(2, 8), st.integers(0, 8)),
+    "p": st.one_of(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29]), st.integers(-1, 30)),
+    "r": st.integers(0, 2),
+    "n": st.integers(-1, 30),
+    "strength": st.one_of(st.none(), st.integers(0, 4)),
+    "alpha": small_fraction,
+    "x": deformation,
+    "y": deformation,
+}
+
+
+@st.composite
+def cases(draw):
+    """A case of a random kind: its own parameters, now and then with one
+    dropped or a foreign one added."""
+    kind = draw(st.sampled_from(CASE_KINDS))
+    params = {name: draw(PARAM_VALUES[name]) for name in KINDS[kind].params}
+    if draw(st.integers(0, 9)) == 0:
+        params.pop(draw(st.sampled_from(sorted(params))))
+    if draw(st.integers(0, 9)) == 0:
+        name = draw(st.sampled_from(sorted(PARAM_VALUES)))
+        params[name] = draw(PARAM_VALUES[name])
+    return Case(kind, **params)
+
+
+sides = st.one_of(
+    st.none(),
+    small_fraction,
+    st.builds(
+        lambda value, p, k: Residue(value, PrimePower(p, k)),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([3, 5, 7, 29]),
+        st.integers(1, 5),
+    ),
+)
+
+
+class TestRegistry:
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases())
+    def test_admissible_iff_run_case_accepts(self, case):
+        reason = admissible(case)
+        try:
+            run_case(case)
+        except HypothesisViolated as exc:
+            assert reason == str(exc)
+        else:
+            assert reason is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases(), lhs=sides, rhs=sides, verdict=st.booleans(), note=st.text(max_size=8))
+    def test_case_and_report_json_round_trip(self, case, lhs, rhs, verdict, note):
+        assert Case.from_dict(json.loads(json.dumps(case.to_dict()))) == case
+        report = Report(case, lhs, rhs, "7^2", verdict, 0.25, note)
+        back = Report.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert back == report and back.to_dict() == report.to_dict()
+
+    def test_runners_find_verifiers_by_name(self, monkeypatch):
+        # callers that rebind verify_* (a tracer, a fake) must be honoured
+        marker = object()
+        monkeypatch.setattr(verifiers_mod, "verify_dflst", lambda d, p, strength: marker)
+        assert run_case(Case("dflst", d=3, p=7, strength=3)) is marker
+
+    def test_docs_list_every_kind(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split("## What it verifies")[1].split("\n## ")[0]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert tuple(k for row in rows for k in re.findall(r"`([^`]+)`", row)) == CASE_KINDS
+        bullets = [line for line in verifiers_mod.__doc__.splitlines() if line.startswith("* ``")]
+        ids = [k for line in bullets for k in re.findall(r"``([^`]+)``", line.split(":")[0])]
+        assert tuple(ids) == CASE_KINDS
