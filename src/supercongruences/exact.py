@@ -42,6 +42,18 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, j) for j in range(1, k + 1)), Fraction(0))
 
 
+def zero_shift(c: Fraction, k: int) -> int | None:
+    """The j in [0, k) with c + j = 0, or None: c is then an integer in (-k, 0]."""
+    return -c.numerator if c.denominator == 1 and -k < c <= 0 else None
+
+
+def check_harmonic_shift(c: Fraction, k: int) -> None:
+    """Reject c when some summand 1/(c+j), 0 <= j < k, has c+j = 0."""
+    j = zero_shift(c, k)
+    if j is not None:
+        raise ZeroLowerPochhammer(f"shifted harmonic sum hits a zero denominator at c+{j} = 0 (c={c})")
+
+
 def shifted_harmonic(c: RationalLike, k: int) -> Fraction:
     """Shifted harmonic sum: sum_{j=0..k-1} 1/(c+j), with the k=0 sum 0.
 
@@ -49,14 +61,8 @@ def shifted_harmonic(c: RationalLike, k: int) -> Fraction:
     misuse upstream and is rejected rather than skipped.
     """
     c = Fraction(c)
-    acc = Fraction(0)
-    for j in range(k):
-        if c + j == 0:
-            raise ZeroLowerPochhammer(
-                f"shifted harmonic sum hits a zero denominator at c+{j} = 0 (c={c})"
-            )
-        acc += Fraction(1, 1) / (c + j)
-    return acc
+    check_harmonic_shift(c, k)
+    return sum((1 / (c + j) for j in range(k)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,14 @@ an argument z, and an inclusive truncation index n; the k-th term is
 
     (a_0)_k ... (a_r)_k / ((b_1)_k ... (b_r)_k) * z^k / k!
 
-Terms are generated through the ratio recurrence (one rational multiply
-per term); the modular value of a sum is always the exact sum reduced
+Every sum, plain or weighted, is one product of integer matrices taken by
+binary splitting (Haible & Papanikolaou, "Fast multiprecision evaluation
+of series of rational numbers", ANTS 1998): step k advances the state
+(t_k, w_k t_k, sum_{j<k} w_j t_j) to k+1 by a lower-triangular integer
+matrix over one integer denominator, adjacent steps are multiplied
+pairwise up a balanced tree, and a single ``Fraction`` (one gcd) is built
+at the end; ``terms`` yields the terms one by one from the same integer
+ratios. The modular value of a sum is always the exact sum reduced
 afterwards, never a per-term modular accumulation, so terms that are not
 individually p-integral cost nothing extra.
 """
@@ -15,10 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from math import prod
+from itertools import repeat
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import ZeroLowerPochhammer
-from .exact import RationalLike, shifted_harmonic
+# shifted_harmonic is unused here but stays bound: bench/tracing.py wraps it by name
+from .exact import RationalLike, check_harmonic_shift, shifted_harmonic, zero_shift
 from .padic import PrimePower, Residue, reduce_mod
 
 
@@ -48,12 +58,11 @@ class SeriesSpec:
         if self.n < 0:
             raise ValueError(f"truncation index must be >= 0, got {self.n}")
         for b in self.lower:
-            for j in range(self.n):
-                if b + j == 0:
-                    raise ZeroLowerPochhammer(
-                        f"lower parameter {b} has ({b})_{j + 1} = 0 within "
-                        f"truncation {self.n}"
-                    )
+            j = zero_shift(b, self.n)
+            if j is not None:
+                raise ZeroLowerPochhammer(
+                    f"lower parameter {b} has ({b})_{j + 1} = 0 within truncation {self.n}"
+                )
 
 
 def series(
@@ -66,6 +75,27 @@ def series(
     return SeriesSpec(tuple(upper), tuple(lower), Fraction(z), n)
 
 
+def _ratios(spec: SeriesSpec) -> tuple[Iterator[int], Iterator[int]]:
+    """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only:
+    SeriesSpec guarantees b + k != 0 there, not at n."""
+    n = spec.n
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    # a + k = (num + den k) / den; the trailing (1, 1) is the k+1 of k!
+    lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]
+    ps = _linear_products(spec.z.numerator * prod(den for _, den in lower), upper, n)
+    qs = _linear_products(spec.z.denominator * prod(den for _, den in upper), lower, n)
+    return ps, qs
+
+
+def _linear_products(const: int, forms: Sequence[tuple[int, int]], n: int) -> Iterator[int]:
+    """const * prod(u + v*k for (u, v) in forms) for k in range(n), lazily,
+    one chained map per factor (v > 0)."""
+    values: Iterator[int] = repeat(const, n)
+    for u, v in forms:
+        values = map(mul, values, range(u, u + v * n, v))
+    return values
+
+
 def terms(spec: SeriesSpec) -> Iterator[Fraction]:
     """Yield the exact terms t_0..t_n via the ratio recurrence
 
@@ -73,14 +103,8 @@ def terms(spec: SeriesSpec) -> Iterator[Fraction]:
     """
     t = Fraction(1)
     yield t
-    for k in range(spec.n):
-        num = spec.z
-        for a in spec.upper:
-            num *= a + k
-        den = Fraction(k + 1)
-        for b in spec.lower:
-            den *= b + k
-        t = t * num / den
+    for p, q in zip(*_ratios(spec)):
+        t = Fraction(t.numerator * p, t.denominator * q)
         yield t
 
 
@@ -94,9 +118,61 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
     raise AssertionError("unreachable")
 
 
+# A product of steps is (a, b, c, d, e), the integer matrix
+# [[a, 0, 0], [b, a, 0], [c, d, e]] acting on (t, w t, acc) over the
+# denominator e; every step, and so every product, has this shape.
+_Step = tuple[int, int, int, int, int]
+
+
+def _compose(later: _Step, earlier: _Step) -> _Step:
+    a2, b2, c2, d2, e2 = later
+    a1, b1, c1, d1, e1 = earlier
+    return (a2 * a1, b2 * a1 + a2 * b1, c2 * a1 + d2 * b1 + e2 * c1, d2 * a1 + e2 * d1, e2 * e1)
+
+
+def _weighted_sum(
+    spec: SeriesSpec,
+    w0: Fraction,
+    step_num: int = 0,
+    step_den: int = 1,
+    step_forms: Sequence[tuple[int, int]] = (),
+) -> Fraction:
+    """Exact sum_{k<=n} w_k t_k, where w_{k+1} = w_k + N / D(k) with
+    N = step_num and D(k) = step_den * prod(u + v*k for (u, v) in step_forms).
+
+    With t_{k+1}/t_k = P(k)/Q(k) over integers, step k is
+
+        t'   = t P D           / (Q D)
+        v'   = (v P D + t P N) / (Q D)      (v = w t)
+        acc' = (acc + v) Q D   / (Q D)
+
+    Only the steps k < n are built: the ratio and the weight step are
+    guaranteed finite there (SeriesSpec checks b + j for j < n), not at n.
+    """
+    ps, qs = _ratios(spec)
+    ds = _linear_products(step_den, step_forms, spec.n)
+    # products of 2^j consecutive steps, earliest first, sizes strictly
+    # decreasing: equal neighbours merge as each step arrives, so the
+    # tree stays balanced and only O(log n) products are alive at a time
+    stack: list[tuple[int, _Step]] = []
+    for p, q, dk in zip(ps, qs, ds):
+        size, node = 1, (p * dk, p * step_num, 0, q * dk, q * dk)
+        while stack and stack[-1][0] == size:
+            node = _compose(node, stack.pop()[1])
+            size *= 2
+        stack.append((size, node))
+    product = (1, 0, 0, 0, 1)
+    for _, node in reversed(stack):
+        product = _compose(product, node)
+    a, b, c, d, e = product
+    # start from (t, v, acc) = (1, w0, 0); the sum is acc_n + v_n
+    wn, wd = w0.numerator, w0.denominator
+    return Fraction((b + c) * wd + (a + d) * wn, e * wd)
+
+
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
     """Exact value of the truncated sum."""
-    return sum(terms(spec), Fraction(0))
+    return _weighted_sum(spec, Fraction(1))
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
@@ -126,26 +202,20 @@ class AffineWeight:
 
 def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
     """Exact sum of (slope*k + intercept) * t_k over the truncation range."""
-    return sum(w.at(k) * t for k, t in enumerate(terms(spec)))
+    return _weighted_sum(spec, w.intercept, w.slope.numerator, w.slope.denominator)
 
 
 def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> Fraction:
     """Exact sum of t_k * (sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j)).
 
-    The two shifted harmonic sums are accumulated incrementally; a zero
-    summand denominator within range is rejected up front.
+    The weight steps by 1/(c1+k) - 1/(c2+k) = (v1 u2 - v2 u1) /
+    ((u1 + v1 k)(u2 + v2 k)) for c = u/v; a zero summand denominator
+    within range is rejected up front.
     """
     c1 = Fraction(c1)
     c2 = Fraction(c2)
-    # surface bad weights before any work, matching shifted_harmonic
-    shifted_harmonic(c1, spec.n)
-    shifted_harmonic(c2, spec.n)
-    acc = Fraction(0)
-    h1 = Fraction(0)
-    h2 = Fraction(0)
-    for k, t in enumerate(terms(spec)):
-        if k > 0:
-            h1 += 1 / (c1 + (k - 1))
-            h2 += 1 / (c2 + (k - 1))
-        acc += t * (h1 - h2)
-    return acc
+    check_harmonic_shift(c1, spec.n)
+    check_harmonic_shift(c2, spec.n)
+    u1, v1 = c1.numerator, c1.denominator
+    u2, v2 = c2.numerator, c2.denominator
+    return _weighted_sum(spec, Fraction(0), v1 * u2 - v2 * u1, 1, ((u1, v1), (u2, v2)))

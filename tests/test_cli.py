@@ -115,6 +115,19 @@ class TestSuiteRun:
             assert a.modulus == b.modulus and a.verdict == b.verdict
             assert a.elapsed == pytest.approx(b.elapsed) and a.note == b.note
 
+    def test_default_suite_reports_pinned(self):
+        # sha256 of the default suite's JSON without elapsed_ms, dumped with
+        # sort_keys and compact separators: the reports (residues, verdicts,
+        # notes) the default suite has always produced
+        data = json.loads(to_json(run_suite(SuiteConfig())))
+        for entry in data:
+            entry.pop("elapsed_ms")
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert len(data) == 941
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "11c8bfb0f908040c45ccb5cd277f5cc3bd183fe7c17964fdb6ca23e53970127f"
+        )
+
     def test_csv_has_fixed_header(self):
         reports = run_suite(SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_pairs=(), deformed_samples=1))
         rows = list(csv.reader(io.StringIO(render(reports, "csv"))))

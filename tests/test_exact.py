@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supercongruences.errors import ZeroLowerPochhammer
 from supercongruences.exact import (
     RationalPoly,
     binomial,
+    check_harmonic_shift,
     factorial,
     harmonic,
     poch_poly,
@@ -102,6 +105,20 @@ class TestHarmonic:
             shifted_harmonic(0, 1)
         with pytest.raises(ZeroLowerPochhammer):
             shifted_harmonic(-2, 5)
+
+    @given(
+        c=st.builds(F, st.integers(-15, 15), st.sampled_from([1, 1, 2, 3])),
+        k=st.integers(-2, 15),
+    )
+    def test_shift_check_matches_termwise_scan(self, c, k):
+        # the O(1) check raises exactly when some summand 1/(c+j), j < k, is 1/0
+        vanishing = [j for j in range(k) if c + j == 0]
+        if vanishing:
+            message = f"at c\\+{vanishing[0]} = 0 \\(c={c}\\)"
+            with pytest.raises(ZeroLowerPochhammer, match=message):
+                check_harmonic_shift(c, k)
+        else:
+            check_harmonic_shift(c, k)
 
 
 class TestRationalPoly:

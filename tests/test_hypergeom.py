@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
@@ -214,5 +216,94 @@ class TestHarmonicWeightedSum:
 
     def test_rejects_vanishing_weight_denominator(self):
         spec = series([F(1, 2), F(1, 2)], [1], 1, 6)
-        with pytest.raises(ZeroLowerPochhammer):
+        message = r"shifted harmonic sum hits a zero denominator at c\+3 = 0 \(c=-3\)"
+        with pytest.raises(ZeroLowerPochhammer, match=message):
             harmonic_weighted_sum(spec, -3, 1)
+        with pytest.raises(ZeroLowerPochhammer, match=message):
+            harmonic_weighted_sum(spec, 1, -3)
+
+
+# ---------------------------------------------------------------------------
+# the binary-splitting tree against the Fraction loops it replaced
+
+
+def loop_evaluate(spec):
+    return sum(terms(spec), F(0))
+
+
+def loop_affine(w, spec):
+    return sum(w.at(k) * t for k, t in enumerate(terms(spec)))
+
+
+def loop_harmonic(spec, c1, c2):
+    c1 = F(c1)
+    c2 = F(c2)
+    shifted_harmonic(c1, spec.n)
+    shifted_harmonic(c2, spec.n)
+    acc = h1 = h2 = F(0)
+    for k, t in enumerate(terms(spec)):
+        if k > 0:
+            h1 += 1 / (c1 + (k - 1))
+            h2 += 1 / (c2 + (k - 1))
+        acc += t * (h1 - h2)
+    return acc
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+def clear_of(n):
+    """Rationals that are not an integer in (-n, 0]: fine as a lower
+    parameter or a harmonic shift at truncation n."""
+    return rationals.filter(lambda x: not (x.denominator == 1 and -n < x <= 0))
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.integers(0, 40))
+    r = draw(st.integers(0, 3))
+    upper = draw(st.lists(rationals, min_size=r + 1, max_size=r + 1))
+    lower = draw(st.lists(clear_of(n), min_size=r, max_size=r))
+    return series(upper, lower, draw(rationals), n)
+
+
+class TestTreeAgainstLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs())
+    def test_plain(self, spec):
+        assert evaluate_exact(spec) == loop_evaluate(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs(), slope=rationals, intercept=rationals)
+    def test_affine(self, spec, slope, intercept):
+        w = AffineWeight(slope, intercept)
+        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=specs(), data=st.data())
+    def test_harmonic(self, spec, data):
+        c1 = data.draw(clear_of(spec.n))
+        c2 = data.draw(clear_of(spec.n))
+        assert harmonic_weighted_sum(spec, c1, c2) == loop_harmonic(spec, c1, c2)
+
+    def test_truncation_zero(self):
+        spec = series([F(2, 3), -4], [F(-5, 2)], F(7, 3), 0)
+        assert evaluate_exact(spec) == loop_evaluate(spec) == 1
+        assert affine_weighted_sum(AffineWeight(3, F(-2, 5)), spec) == F(-2, 5)
+        assert harmonic_weighted_sum(spec, F(1, 3), 0) == 0  # c = 0 is fine at n = 0
+
+    def test_terminating_upper_parameter(self):
+        spec = series([-3, F(1, 2)], [F(1, 3)], 2, 10)  # terms vanish from k = 4 on
+        w = AffineWeight(F(1, 2), -1)
+        assert evaluate_exact(spec) == loop_evaluate(spec)
+        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
+        assert harmonic_weighted_sum(spec, F(3, 2), 2) == loop_harmonic(spec, F(3, 2), 2)
+
+    def test_lower_parameter_and_shift_at_minus_n(self):
+        # (b)_k for b = -n and 1/(c+j) for c = -n only vanish past k = n, j = n-1
+        n = 5
+        spec = series([F(1, 2), 1], [-n], F(-1, 2), n)
+        w = AffineWeight(2, 1)
+        assert evaluate_exact(spec) == loop_evaluate(spec) == naive_sum([F(1, 2), 1], [-n], F(-1, 2), n)
+        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
+        assert harmonic_weighted_sum(spec, -n, F(1, 2)) == loop_harmonic(spec, -n, F(1, 2))

@@ -294,6 +294,17 @@ class TestKmDeformed:
         with pytest.raises(HypothesisViolated):
             verify_km_deformed(3, 5, 0, 0)  # odd d not admitted here
 
+    @pytest.mark.parametrize("x,y,name", [(-1, 0, "x"), (0, -6, "y"), (F(1, 2), -3, "y")])
+    def test_rejects_vanishing_lower_parameter(self, x, y, name):
+        # 1+x (or 1+y) would reach 0 within truncation p-1 = 6
+        message = f"need {name} outside -1..-6, got {name} = {x if name == 'x' else y}"
+        with pytest.raises(HypothesisViolated, match=message):
+            verify_km_deformed(4, 7, x, y)
+        assert admissible(Case("km-deformed", d=4, p=7, x=F(x), y=F(y))) == message
+
+    def test_negative_integers_beyond_truncation(self):
+        assert verify_km_deformed(4, 7, -7, -9).verdict
+
 
 class TestArithmeticSpotChecks:
     """The two single-modulus reductions the central-binomial argument
@@ -361,9 +372,12 @@ class TestReportsAndDispatch:
 # the case-kind registry
 
 small_fraction = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
-# deformation points strictly above -1, where no lower Pochhammer vanishes
-deformation = st.integers(2, 9).flatmap(
-    lambda den: st.builds(F, st.integers(-den + 1, 3 * den), st.just(den))
+# deformation points: mostly strictly above -1, where no lower Pochhammer
+# vanishes; now and then a negative integer, which km-deformed must reject
+# when it lies in -1..-(p-1) and accept below that
+deformation = st.one_of(
+    st.integers(2, 9).flatmap(lambda den: st.builds(F, st.integers(-den + 1, 3 * den), st.just(den))),
+    st.integers(-35, -1).map(F),
 )
 PARAM_VALUES = {
     "d": st.one_of(st.integers(2, 8), st.integers(0, 8)),
