@@ -7,7 +7,7 @@ within bounds), ``scan`` (conjecture integrality scan), ``primes``
 Exit codes, mutually exclusive:
   0 all checks pass
   1 a verification failed (a congruence did not hold)
-  2 usage or hypothesis error
+  2 usage or hypothesis error, or a file that cannot be read or written
   3 conjecture scan found a non-integral cell (a finding, not a failure)
 """
 
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"verify": cmd_verify, "suite": cmd_suite, "scan": cmd_scan, "primes": cmd_primes}
     try:
         return handlers[args.command](args)
-    except (CongruenceError, ValueError) as exc:
+    except (CongruenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,13 @@ State persists as append-only UTF-8 lines, one cell per line:
 ``d n numerator denominator is_integer`` (five decimal integers,
 is_integer as 0/1), so exactness survives serialization and re-scans
 resume instead of recomputing.
+
+``load_cells`` keeps one module-level snapshot of the last file it read
+successfully: its bytes up to the last newline, their line count and
+their cells. A re-read whose bytes start with exactly those bytes parses
+only the lines that follow them; any other change to the file is parsed
+whole. The snapshot is published by a single assignment of a new tuple
+and never mutated, so concurrent callers each see one consistent snapshot.
 """
 
 from __future__ import annotations
@@ -106,31 +113,63 @@ def conjecture_value(d: int, n: int) -> Fraction:
     return prefactor * evaluate_exact(combined_series(d, n - 1))
 
 
+# The last successful load: (the bytes it validated, in pieces of at most
+# _PIECE bytes; their line count; their cells). It is replaced by one
+# assignment and never mutated, so a reader always sees one consistent tuple.
+_PIECE = 1 << 13
+_snapshot: tuple[tuple[bytes, ...], int, dict[tuple[int, int], ConjectureCell]] = ((), 0, {})
+
+
 def load_cells(state_path: str | Path) -> dict[tuple[int, int], ConjectureCell]:
     """Read persisted cells keyed by (d, n); a missing file is empty state.
 
     A cell is committed by its newline. A last line without one is what an
     interrupted write leaves: it is dropped with a warning and cut from the
-    file, so the next cell starts a line of its own. Any other bad line is
-    a ValueError naming the file and line."""
+    file, so the next cell starts a line of its own. Any other bad line,
+    including one that is not UTF-8, is a ValueError naming the file and line.
+
+    When the file starts with exactly the bytes of the last successful
+    load, only the lines after them are parsed; any other file is parsed
+    whole."""
+    global _snapshot
     path = Path(state_path)
     if not path.exists():
         return {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    tail = lines.pop()  # "" unless the last write was cut short
-    cells: dict[tuple[int, int], ConjectureCell] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                cell = ConjectureCell.from_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad state line {line[:60]!r}: {exc}") from None
+    pieces, lineno, known = _snapshot
+    with open(path, "rb") as fh:
+        # Small pieces, compared one read at a time: holding the validated
+        # bytes as one object and reading the file whole beside it made a
+        # file-sized allocation on every call, which raised the peak
+        # resident size of 61 back-to-back 430-step scans by 0.6 MB.
+        for piece in pieces:
+            if fh.read(len(piece)) != piece:
+                fh.seek(0)
+                pieces, lineno, known = (), 0, {}
+                break
+        validated = fh.tell()
+        rest = fh.read()
+    new = rest[: rest.rfind(b"\n") + 1]
+    tail = rest[len(new) :]  # b"" unless the last write was cut short
+    cells = dict(known)
+    for raw in new.split(b"\n")[:-1]:
+        lineno += 1
+        try:
+            line = raw.decode("utf-8")
+            cell = ConjectureCell.from_line(line) if line.strip() else None
+        except ValueError as exc:
+            shown = raw.decode("utf-8", "replace")[:60]
+            raise ValueError(f"{path}:{lineno}: bad state line {shown!r}: {exc}") from None
+        if cell is not None:
             cells[(cell.d, cell.n)] = cell
     if tail:
-        log.warning("%s:%d: dropping torn last line %r", path, len(lines) + 1, tail[:60])
-        os.truncate(path, path.stat().st_size - len(tail.encode("utf-8")))
-    return cells
+        shown = tail.decode("utf-8", "replace")[:60]
+        log.warning("%s:%d: dropping torn last line %r", path, lineno + 1, shown)
+        os.truncate(path, validated + len(new))
+    if new:
+        last = (pieces[-1] if pieces else b"") + new
+        pieces = pieces[:-1] + tuple(last[i : i + _PIECE] for i in range(0, len(last), _PIECE))
+    _snapshot = (pieces, lineno, cells)
+    return dict(cells)
 
 
 def scan_conjecture(

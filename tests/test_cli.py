@@ -203,6 +203,26 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["verdict"] == "pass"
 
 
+class TestFileErrors:
+    """An unusable path is a usage error (exit 2), never a failed congruence."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan", "--d", "2", "--n-max", "3", "--state", "{dir}"], "Is a directory"),
+            (["scan", "--d", "2", "--n-max", "3", "--state", "{dir}/missing/s.txt"], "persisting cell d=2 n=3"),
+            (["verify", "rv", "--p", "7", "--out", "{dir}/missing/x.json"], "No such file"),
+            (["suite", "--p-max", "7", "--d-set", "3", "--out", "{dir}/missing/x.json"], "No such file"),
+        ],
+        ids=["scan-state-is-dir", "scan-state-dir-missing", "verify-out-dir-missing", "suite-out-dir-missing"],
+    )
+    def test_exit_two(self, tmp_path, capsys, argv, message):
+        code = cli.main([arg.format(dir=tmp_path) for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestSuiteCommand:
     def test_small_suite_exit_zero(self, capsys):
         code = cli.main(["suite", "--p-max", "20", "--d-set", "3,4", "--r-max", "1"])

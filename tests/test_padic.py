@@ -115,6 +115,33 @@ class TestResidue:
         assert (a**3).value == pow(45, 3, 49)
         assert (-a).value == 4
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from(odd_primes_up_to(60)),
+        k=st.integers(1, 4),
+        reps=st.tuples(*[st.integers(-(10**12), 10**12)] * 4),
+    )
+    def test_ring_laws(self, p, k, reps):
+        ctx = PrimePower(p, k)
+        m = ctx.modulus
+        x, y, z, n = reps
+        a, b, c = (Residue(v, ctx) for v in (x, y, z))
+        zero, one = Residue(0, ctx), Residue(1, ctx)
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a - a == zero and -(-a) == a and a - b == a + -b
+        # an int coerces to the residue's context on either side
+        assert a + n == n + a == a + Residue(n, ctx)
+        assert a * n == n * a == a * Residue(n, ctx)
+        assert a - n == -(n - a) == a - Residue(n, ctx)
+        # every operation agrees with integer arithmetic mod p^k
+        assert (a + b).value == (x + y) % m and (a - b).value == (x - y) % m
+        assert (a * b).value == x * y % m and (-a).value == -x % m
+        assert (a + n).value == (x + n) % m and (n - a).value == (n - x) % m
+        assert a == x and a == x + m * n and a.value == x % m
+
     def test_centered(self):
         ctx = PrimePower(5, 2)
         assert Residue(24, ctx).centered() == -1

@@ -1,9 +1,17 @@
 """Conjecture integrality scan: values, admissibility, persistence."""
 
+import logging
+import os
 import re
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supercongruences.scan as scan_mod
 from supercongruences.errors import HypothesisViolated
@@ -16,6 +24,29 @@ from supercongruences.scan import (
 )
 
 F = Fraction
+
+
+def whole_file_load_cells(state_path):
+    """Test oracle: the whole-file reader the incremental load_cells
+    replaced. It parses and validates every line on every call."""
+    path = Path(state_path)
+    if not path.exists():
+        return {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    tail = lines.pop()  # "" unless the last write was cut short
+    cells = {}
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                cell = ConjectureCell.from_line(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad state line {line[:60]!r}: {exc}") from None
+            cells[(cell.d, cell.n)] = cell
+    if tail:
+        scan_mod.log.warning("%s:%d: dropping torn last line %r", path, len(lines) + 1, tail[:60])
+        os.truncate(path, path.stat().st_size - len(tail.encode("utf-8")))
+    return cells
 
 
 class TestConjectureValue:
@@ -163,3 +194,170 @@ class TestStateValidation:
         state = tmp_path / "cells.txt"
         scan_mod._append(state, cell)
         assert load_cells(state) == {(4, 391): cell}
+
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        state.write_bytes(b"2 3 5 1 1\n\xff\xfe 5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2: bad state line") + ".*utf-8"):
+            load_cells(state)
+
+    def test_torn_last_line_not_utf8_is_dropped(self, tmp_path, caplog):
+        state = tmp_path / "cells.txt"
+        state.write_bytes(b"2 3 5 1 1\n2 5 \xff\xfe")
+        with caplog.at_level("WARNING"):
+            assert list(load_cells(state)) == [(2, 3)]
+        assert any(f"{state}:2: dropping torn" in rec.getMessage() for rec in caplog.records)
+        assert state.read_bytes() == b"2 3 5 1 1\n"
+
+
+class TestIncrementalLoad:
+    def test_same_size_edit_of_line_one_is_caught(self, tmp_path):
+        # the bytes, not the size or mtime, decide what was validated before
+        state = tmp_path / "cells.txt"
+        scan_conjecture(2, 11, state)
+        assert len(load_cells(state)) == 5
+        before = state.stat()
+        data = state.read_bytes()
+        first = data.index(b"\n")
+        assert data[first - 1 : first] == b"1"
+        state.write_bytes(data[: first - 1] + b"0" + data[first:])
+        os.utime(state, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert state.stat().st_size == before.st_size
+        with pytest.raises(ValueError, match=re.escape(f"{state}:1: ") + ".*flag"):
+            load_cells(state)
+
+    @pytest.mark.parametrize("piece", [10, scan_mod._PIECE])
+    def test_reload_parses_only_appended_lines(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(scan_mod, "_PIECE", piece)
+        state = tmp_path / "cells.txt"
+        scan_conjecture(2, 11, state)
+        load_cells(state)
+        parsed = []
+        real = ConjectureCell.from_line
+        monkeypatch.setattr(ConjectureCell, "from_line", lambda line: parsed.append(line) or real(line))
+        for n_max in (13, 15, 17):
+            scan_conjecture(2, n_max, state)  # loads, then appends one cell
+        assert len(load_cells(state)) == 8
+        assert parsed == state.read_text(encoding="utf-8").splitlines()[5:]
+
+    def test_callers_get_fresh_dicts(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        scan_conjecture(2, 7, state)
+        first = load_cells(state)
+        first.clear()
+        assert len(load_cells(state)) == 3
+
+    def test_appended_lines_numbered_after_the_prefix(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        scan_conjecture(2, 7, state)
+        load_cells(state)
+        with open(state, "a", encoding="utf-8") as fh:
+            fh.write("2 9 1 1 1\n2 11 3 2 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:5: ") + ".*flag"):
+            load_cells(state)
+
+
+@contextmanager
+def scan_warnings():
+    """Collect the messages scan logs at WARNING and above."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(scan_mod.__name__)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def load_outcome(load, path):
+    """What a reader shows for path: its cells or its error text, the
+    warnings it logged and the file bytes it left behind."""
+    with scan_warnings() as messages:
+        try:
+            result = load(path)
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+    return result, messages, path.read_bytes() if path.exists() else None
+
+
+cell_lines = st.builds(
+    lambda d, n, num, den: ConjectureCell(d, n, F(num, den), F(num, den).denominator == 1).line(),
+    st.integers(2, 4),
+    st.integers(1, 40),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 12),
+)
+BAD_LINES = ["2 5 12", "2 3 5 1 0", "2 3 10 2 0", "2 3 5 0 0", "x", "2 3 5 1 1 é", "   "]
+appends = st.tuples(st.just("append"), cell_lines)
+operations = st.one_of(
+    appends,  # listed four times: a scan mostly appends
+    appends,
+    appends,
+    appends,
+    st.tuples(st.just("torn"), cell_lines, st.integers(1, 30)),
+    st.tuples(st.just("flip"), st.integers(0, 50)),
+    st.tuples(st.just("redigit"), st.integers(0, 50)),
+    st.tuples(st.just("replace"), st.integers(0, 50), cell_lines),
+    st.tuples(st.just("extend"), st.integers(0, 50), st.sampled_from(["0", "1", " 1"])),
+    st.tuples(st.just("truncate"), st.integers(0, 50)),
+    st.tuples(st.just("bad"), st.integers(0, 50), st.sampled_from(BAD_LINES)),
+    st.tuples(st.just("fork"), st.integers(0, 50)),
+    st.tuples(st.just("switch")),
+)
+
+
+def apply(op, data):
+    """The file bytes after one operation on a state file holding data
+    ("fork" and "switch" act on which file is current, not on data)."""
+    lines = data.split(b"\n")
+    tail = lines.pop()
+    kind = op[0]
+    if kind == "append":
+        return data + op[1].encode() + b"\n"
+    if kind == "torn":
+        return data + op[1].encode()[: op[2]]
+    if kind == "truncate":
+        return b"".join(line + b"\n" for line in lines[: op[1] % (len(lines) + 1)])
+    if kind == "bad":
+        lines.insert(op[1] % (len(lines) + 1), op[2].encode())
+    elif lines and kind == "flip":  # same length: toggle a final 0/1 flag
+        i = op[1] % len(lines)
+        flag = lines[i][-1:]
+        if flag in (b"0", b"1"):
+            lines[i] = lines[i][:-1] + (b"1" if flag == b"0" else b"0")
+    elif lines and kind == "redigit":  # same length: change a line's first digit (its d)
+        i = op[1] % len(lines)
+        if lines[i][:1].isdigit():
+            lines[i] = b"%d" % ((int(lines[i][:1]) + 1) % 10) + lines[i][1:]
+    elif lines and kind == "replace":  # usually a different length
+        lines[op[1] % len(lines)] = op[2].encode()
+    elif lines and kind == "extend":  # longer, keeping the line's bytes as a prefix
+        lines[op[1] % len(lines)] += op[2].encode()
+    return b"".join(line + b"\n" for line in lines) + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(operations, min_size=4, max_size=20), st.sampled_from([1, 5, 64, scan_mod._PIECE]))
+def test_incremental_load_matches_whole_file_oracle(ops, piece):
+    # small piece sizes split the snapshot of these small files many ways
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan_mod, "_PIECE", piece):
+        paths = [Path(tmp) / "a.txt", Path(tmp) / "b.txt"]
+        current = 0
+        for op in ops:
+            path = paths[current]
+            data = path.read_bytes() if path.exists() else b""
+            if op[0] == "switch":
+                current = 1 - current
+            elif op[0] == "fork":  # the other file gets a line prefix of this one
+                current = 1 - current
+                paths[current].write_bytes(apply(("truncate", op[1]), data))
+            else:
+                path.write_bytes(apply(op, data))
+            path = paths[current]
+            before = path.read_bytes() if path.exists() else None
+            expected = load_outcome(whole_file_load_cells, path)
+            if before is not None:
+                path.write_bytes(before)
+            assert load_outcome(load_cells, path) == expected
