@@ -9,6 +9,9 @@ Exit codes, mutually exclusive:
   1 a verification failed (a congruence did not hold)
   2 usage or hypothesis error, or a file that cannot be read or written
   3 conjecture scan found a non-integral cell (a finding, not a failure)
+
+``--out`` is opened before any case runs, so a bad path costs no work;
+``suite`` still writes the reports that finished when a later case raises.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CongruenceError
 from .primes import primes_in_class
 from .scan import scan_conjecture
-from .suite import SuiteConfig, all_pass, render, report_lines, run_suite
+from .suite import SuiteConfig, all_pass, pass_line, render, report_lines, run_suite
 from .verifiers import CASE_KINDS, Case, run_case
 
 EXIT_PASS = 0
@@ -64,17 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--y", type=_fraction, help="deformation y")
     _output_flags(p_verify)
 
-    p_suite = sub.add_parser("suite", help="run every admissible case within bounds")
-    p_suite.add_argument("--p-max", type=int, default=199, help="prime bound (default 199)")
-    p_suite.add_argument(
-        "--d-set", type=_int_set, default=(2, 3, 4, 5, 6, 7), help="comma list of d values"
+    p_suite = sub.add_parser(
+        "suite",
+        help="run every admissible case within bounds",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p_suite.add_argument("--r-max", type=int, default=2, help="max prime-power exponent")
-    p_suite.add_argument(
-        "--max-strength", type=int, default=3, choices=(2, 3), help="cap on dflst modulus exponent"
-    )
-    p_suite.add_argument("--seed", type=int, default=0, help="seed for sampled deformation points")
-    p_suite.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_suite.add_argument("--p-max", type=int, help="prime bound")
+    p_suite.add_argument("--d-set", type=_int_set, help="comma list of d values")
+    p_suite.add_argument("--r-max", type=int, help="max prime-power exponent")
+    p_suite.add_argument("--max-strength", type=int, help="cap on dflst modulus exponent")
+    p_suite.add_argument("--seed", type=int, help="seed for sampled deformation points")
+    p_suite.add_argument("--jobs", type=int, help="parallel worker processes")
+    # every SuiteConfig field, flag or not, starts at the one default it has
+    p_suite.set_defaults(**{f.name: f.default for f in fields(SuiteConfig)})
     _output_flags(p_suite)
 
     p_scan = sub.add_parser("scan", help="conjecture integrality scan")
@@ -96,59 +102,44 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _open_out(path: str | None):
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
+def _write(out, text: str) -> None:
+    """print() to stdout; a file gets a trailing newline only if text lacks one."""
+    print(text, file=out, end="" if out is not sys.stdout and text.endswith("\n") else "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = {f.name: getattr(args, f.name) for f in fields(Case) if f.name != "kind"}
     case = Case(args.case, **params)
-    report = run_case(case)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
-    else:
-        _emit(render([report], args.format), args.out)
+    with _open_out(args.out) as out:
+        report = run_case(case)
+        fmt = args.format
+        _write(out, json.dumps(report.to_dict(), indent=2) if fmt == "json" else render([report], fmt))
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    cfg = SuiteConfig(
-        p_max=args.p_max,
-        d_set=args.d_set,
-        r_max=args.r_max,
-        max_strength=args.max_strength,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    collected = []
+    cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+    stream = args.format == "plain" and not args.out
+    done = []
 
     def progress(report) -> None:
-        collected.append(report)
-        if args.format == "plain" and not args.out:
+        done.append(report)
+        if stream:
             print(report_lines([report])[0], flush=True)
 
-    try:
-        reports = run_suite(cfg, progress=progress)
-    except CongruenceError as exc:
-        # keep whatever finished: partial results are still useful
-        if collected and args.out:
-            _emit(render(sorted(collected, key=lambda r: r.case.sort_key()), args.format), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.format == "plain" and not args.out:
-        passed = sum(r.verdict for r in reports)
-        if not collected:  # parallel runs stream nothing; print everything now
-            print("\n".join(report_lines(reports)))
-        print(f"{passed}/{len(reports)} cases pass")
-    else:
-        _emit(render(reports, args.format), args.out)
-        print(f"{sum(r.verdict for r in reports)}/{len(reports)} cases pass", file=sys.stderr)
-    return EXIT_PASS if all_pass(reports) else EXIT_FAIL
+    with _open_out(args.out) as out:
+        try:
+            run_suite(cfg, progress=progress)
+        finally:
+            # done holds the finished reports in case order; keep them if a case raised
+            if not stream:
+                _write(out, render(done, args.format))
+    print(pass_line(done), file=sys.stdout if stream else sys.stderr)
+    return EXIT_PASS if all_pass(done) else EXIT_FAIL
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -119,19 +121,22 @@ def run_suite(
 ) -> list[Report]:
     """Run every enumerated case; reports come back sorted like the cases.
 
-    With jobs > 1 the cases run in a process pool; aggregation re-sorts,
-    so the output order is identical either way.
+    With jobs > 1 they run in a pool of at most jobs workers, capped by the
+    case and CPU counts. Either way ``progress`` sees each report in case
+    order as soon as it and every earlier case are done.
     """
     cases = enumerate_cases(cfg)
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        if cfg.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(_run_one, ((c,) for c in cases), chunksize=4))
-    else:
+            workers = max(1, min(cfg.jobs, len(cases), os.cpu_count() or 1))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_one, ((c,) for c in cases), chunksize=4)
+        else:
+            results = map(run_case, cases)
         reports = []
-        for case in cases:
-            report = run_case(case)
+        for report in results:
             if progress is not None:
                 progress(report)
             reports.append(report)
@@ -146,6 +151,11 @@ def _run_one(args: tuple[Case, ...]) -> Report:
 
 def all_pass(reports: Iterable[Report]) -> bool:
     return all(r.verdict for r in reports)
+
+
+def pass_line(reports: list[Report]) -> str:
+    """The closing "n/m cases pass" line of every suite report."""
+    return f"{sum(r.verdict for r in reports)}/{len(reports)} cases pass"
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +228,5 @@ def render(reports: list[Report], fmt: str) -> str:
     if fmt == "csv":
         return to_csv(reports)
     if fmt == "plain":
-        lines = report_lines(reports)
-        passed = sum(r.verdict for r in reports)
-        lines.append(f"{passed}/{len(reports)} cases pass")
-        return "\n".join(lines)
+        return "\n".join([*report_lines(reports), pass_line(reports)])
     raise CongruenceError(f"unknown output format {fmt!r}")

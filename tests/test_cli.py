@@ -1,15 +1,20 @@
 """CLI exit codes, output formats, and suite plumbing."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
 import json
+import os
+from dataclasses import fields
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
 import supercongruences.cli as cli
 import supercongruences.scan as scan_mod
+import supercongruences.suite as suite_mod
 from supercongruences.errors import CongruenceError
 from supercongruences.suite import (
     SuiteConfig,
@@ -25,6 +30,26 @@ from supercongruences.verifiers import Case, Report
 F = Fraction
 
 SMALL = SuiteConfig(p_max=20, d_set=(3, 4), r_max=1, sun_p_max=13, identity_n_max=10)
+TINY = SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_pairs=(), deformed_samples=1)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it was
+    asked for and maps in-process, so no worker process ever starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
 
 
 class TestSuiteEnumeration:
@@ -152,6 +177,28 @@ class TestSuiteRun:
         parallel = run_suite(SuiteConfig(**{**cfg.__dict__, "jobs": 2}))
         assert serial == parallel
 
+    def test_parallel_progress_in_case_order(self):
+        cfg = SuiteConfig(**{**TINY.__dict__, "jobs": 2})
+        seen = []
+        reports = run_suite(cfg, progress=seen.append)
+        assert [r.case for r in seen] == enumerate_cases(cfg)
+        assert seen == reports
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, expected",
+        # TINY has 22 cases
+        [(10**6, 64, 22), (10**6, 2, 2), (3, 8, 3), (4, 1, 1), (4, None, 1)],
+    )
+    def test_pool_size_capped(self, monkeypatch, jobs, cpus, expected):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reports = run_suite(SuiteConfig(**{**TINY.__dict__, "jobs": jobs}))
+        assert len(reports) == 22
+        # jobs > 1 always takes the pool path, whatever the machine
+        assert RecordingPool.sizes == [expected]
+        assert reports == run_suite(TINY)
+
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
@@ -222,6 +269,21 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_bad_out_runs_no_case(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def run_case(case):
+            calls.append(case)
+            return real(case)
+
+        real = suite_mod.run_case
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
+        monkeypatch.setattr(cli, "run_case", run_case)
+        out = str(tmp_path / "missing" / "x.json")
+        assert cli.main(["suite", "--p-max", "7", "--d-set", "3", "--out", out]) == 2
+        assert cli.main(["verify", "rv", "--p", "7", "--out", out]) == 2
+        assert calls == []
+
 
 class TestSuiteCommand:
     def test_small_suite_exit_zero(self, capsys):
@@ -241,6 +303,18 @@ class TestSuiteCommand:
     def test_bad_jobs_exit_two(self, capsys):
         assert cli.main(["suite", "--p-max", "7", "--jobs", "-3"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_bad_strength_is_suite_config_error(self, capsys):
+        assert cli.main(["suite", "--p-max", "7", "--max-strength", "1"]) == 2
+        assert capsys.readouterr().err == "error: max_strength must be 2 or 3, got 1\n"
+
+    def test_defaults_come_from_suite_config(self, monkeypatch, capsys):
+        args = cli.build_parser().parse_args(["suite"])
+        assert SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)}) == SuiteConfig()
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda cfg, progress: seen.append(cfg))
+        assert cli.main(["suite"]) == 0
+        assert seen == [SuiteConfig()]
 
     def test_suite_failure_exit_one(self, monkeypatch, capsys):
         import supercongruences.suite as suite_mod
@@ -270,6 +344,28 @@ class TestSuiteCommand:
         assert "injected failure" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0].startswith("case_id") and len(lines) > 1
+
+    def test_parallel_partial_results_written_on_error(self, tmp_path, monkeypatch, capsys):
+        # forked pool workers inherit the patched run_case; the reports
+        # that reached the parent before the error must land in the file
+        real = suite_mod.run_case
+
+        def run_case(case):
+            if case.kind == "rv":
+                raise CongruenceError("injected failure in rv")
+            return real(case)
+
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
+        out = tmp_path / "partial.csv"
+        argv = ["suite", "--p-max", "11", "--d-set", "3", "--jobs", "2", "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "injected failure" in capsys.readouterr().err
+        before = list(takewhile(lambda c: c.kind != "rv", enumerate_cases(SuiteConfig(p_max=11, d_set=(3,)))))
+        expected = [row[:-1] for row in csv.reader(io.StringIO(render([real(c) for c in before], "csv")))]
+        rows = [row[:-1] for row in csv.reader(io.StringIO(out.read_text()))]
+        # the pool batch that holds the failing case is lost with it
+        assert len(before) - 4 < len(rows) - 1 <= len(before)
+        assert rows == expected[: len(rows)]
 
 
 class TestScanCommand:
