@@ -10,8 +10,10 @@ Exit codes, mutually exclusive:
   2 usage or hypothesis error, or a file that cannot be read or written
   3 conjecture scan found a non-integral cell (a finding, not a failure)
 
-``--out`` is opened before any case runs, so a bad path costs no work;
-``suite`` still writes the reports that finished when a later case raises.
+``--out`` is opened before any case runs, so a bad path costs no work,
+but only once ``verify``'s hypotheses hold, so a usage error leaves no
+empty file; ``suite`` still writes the reports that finished when a
+later case raises.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
-from .errors import CongruenceError
+from .errors import CongruenceError, HypothesisViolated
 from .primes import primes_in_class
 from .scan import scan_conjecture
 from .suite import SuiteConfig, all_pass, pass_line, render, report_lines, run_suite
-from .verifiers import CASE_KINDS, Case, run_case
+from .verifiers import CASE_KINDS, Case, admissible, run_case
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -107,13 +109,16 @@ def _open_out(path: str | None):
 
 
 def _write(out, text: str) -> None:
-    """print() to stdout; a file gets a trailing newline only if text lacks one."""
-    print(text, file=out, end="" if out is not sys.stdout and text.endswith("\n") else "\n")
+    """Write text with a trailing newline, unless it already ends in one."""
+    print(text, file=out, end="" if text.endswith("\n") else "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = {f.name: getattr(args, f.name) for f in fields(Case) if f.name != "kind"}
     case = Case(args.case, **params)
+    reason = admissible(case)
+    if reason is not None:
+        raise HypothesisViolated(reason)
     with _open_out(args.out) as out:
         report = run_case(case)
         fmt = args.format

@@ -1,11 +1,13 @@
 """One executable check per congruence/identity family.
 
-Every verifier validates its hypotheses (raising HypothesisViolated on a
-usage error), evaluates both sides in the stated modulus, and returns a
-Report carrying both residues; a bare boolean would make failures
-undiagnosable.
+Each verifier declares its case kind once, with ``@_kind(name, check)``.
+Its body evaluates both sides in the stated modulus and returns
+``(lhs, rhs, modulus[, note])``. The wrapper the decorator puts in its
+place validates the hypotheses first (raising HypothesisViolated on a
+usage error) and returns a Report carrying both sides; a bare boolean
+would make failures undiagnosable.
 
-Case kinds, one entry each in ``KINDS``:
+Case kinds, in registration (``KINDS``) order:
 
 * ``rv``: Rodriguez-Villegas: 2F1(1/2,1/2;1|1) over k < p equals
   (-1)^((p-1)/2) mod p^2.
@@ -35,7 +37,9 @@ Case kinds, one entry each in ``KINDS``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import functools
+import inspect
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, NamedTuple
@@ -74,6 +78,13 @@ class Case:
     x: Fraction | None = None
     y: Fraction | None = None
 
+    def __post_init__(self) -> None:
+        # rational parameters are stored as Fractions, whatever was passed
+        for name in ("alpha", "x", "y"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
+
     def sort_key(self) -> tuple:
         return (
             self.kind,
@@ -108,11 +119,7 @@ class Case:
 
     @classmethod
     def from_dict(cls, data: dict) -> Case:
-        kwargs = dict(data)
-        for name in ("alpha", "x", "y"):
-            if name in kwargs:
-                kwargs[name] = Fraction(kwargs[name])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 Side = Residue | Fraction | None
@@ -179,8 +186,54 @@ def _require_prime(p: int, extra: str = "") -> None:
     _require(is_prime(p) and p % 2 == 1, f"p must be an odd prime{extra}, got {p}")
 
 
-def _finish(case: Case, lhs: Side, rhs: Side, modulus: str, t0: float, note: str = "") -> Report:
-    return Report(case, lhs, rhs, modulus, lhs == rhs, perf_counter() - t0, note)
+# ---------------------------------------------------------------------------
+# the registry of case kinds
+
+
+class Kind(NamedTuple):
+    """A case kind as its verifier declares it: the Case fields the verifier
+    takes, in positional order, defaults for the optional ones, the
+    hypothesis check (same parameters), and the verifier's module-global
+    name."""
+
+    params: tuple[str, ...]
+    defaults: dict[str, object]
+    check: Callable[..., None]
+    verifier: str
+
+
+KINDS: dict[str, Kind] = {}
+
+
+def _kind(name: str, check: Callable[..., None]):
+    """Register the decorated body as case kind ``name``. The body takes the
+    kind's parameters and returns (lhs, rhs, modulus[, note]); the wrapper
+    builds the Case, runs ``check``, times the body and reports the verdict
+    ``lhs == rhs and not note``."""
+
+    def register(body: Callable[..., tuple]) -> Callable[..., Report]:
+        signature = inspect.signature(body)
+        params = tuple(signature.parameters)
+
+        @functools.wraps(body)
+        def verify(*args, **kwargs) -> Report:
+            if kwargs or len(args) != len(params):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args
+            case = Case(name, **dict(zip(params, args)))
+            args = [getattr(case, param) for param in params]
+            check(*args)
+            t0 = perf_counter()
+            lhs, rhs, modulus, *note = body(*args)
+            note = note[0] if note else ""
+            return Report(case, lhs, rhs, modulus, lhs == rhs and not note, perf_counter() - t0, note)
+
+        defaults = {k: v.default for k, v in signature.parameters.items() if v.default is not v.empty}
+        KINDS[name] = Kind(params, defaults, check, body.__name__)
+        return verify
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +271,13 @@ def _require_rv(p: int) -> None:
     _require(is_prime(p) and p >= 5, f"need a prime p >= 5, got {p}")
 
 
-def verify_rodriguez_villegas(p: int) -> Report:
+@_kind("rv", _require_rv)
+def verify_rodriguez_villegas(p: int) -> tuple:
     """2F1(1/2,1/2;1|1)_{p-1} ≡ (-1)^((p-1)/2) (mod p^2)."""
-    _require_rv(p)
-    case = Case("rv", p=p)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(central_series(p - 1), ctx)
     rhs = reduce_mod((-1) ** ((p - 1) // 2), ctx)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
 def _require_sun(alpha: Fraction, p: int) -> None:
@@ -234,16 +285,13 @@ def _require_sun(alpha: Fraction, p: int) -> None:
     _require(valuation(alpha, p) == 0, f"alpha = {alpha} must be a unit at p = {p}")
 
 
-def verify_sun(alpha: Fraction | int, p: int) -> Report:
+@_kind("sun", _require_sun)
+def verify_sun(alpha: Fraction, p: int) -> tuple:
     """2F1(a,1-a;1|1)_{p-1} ≡ (-1)^{<-a>_p} (mod p^2) for a a p-adic unit."""
-    alpha = Fraction(alpha)
-    _require_sun(alpha, p)
-    case = Case("sun", p=p, alpha=alpha)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(series([alpha, 1 - alpha], [1], 1, p - 1), ctx)
     rhs = reduce_mod((-1) ** least_nonneg_residue(-alpha, p), ctx)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
 def _require_dflst(d: int, p: int, strength: int = 2) -> None:
@@ -254,29 +302,26 @@ def _require_dflst(d: int, p: int, strength: int = 2) -> None:
     _require(p % d == 1, f"need p ≡ 1 (mod {d}), got p = {p}")
 
 
-def verify_dflst(d: int, p: int, strength: int = 2) -> Report:
+@_kind("dflst", _require_dflst)
+def verify_dflst(d: int, p: int, strength: int = 2) -> tuple:
     """dF_{d-1}((1-1/d)^d; 1^{d-1} | 1)_{p-1} ≡ -Gamma_p(1/d)^d
     (mod p^strength), strength 2 for d >= 2 and 3 for d >= 3."""
-    _require_dflst(d, p, strength)
-    case = Case("dflst", d=d, p=p, strength=strength)
-    t0 = perf_counter()
     ctx = PrimePower(p, strength)
     lhs = evaluate_mod(dflst_series(d, p - 1), ctx)
     rhs = -(GammaContext(ctx).gamma(Fraction(1, d)) ** d)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
-def verify_guo_linear(d: int, p: int) -> Report:
+# p ≡ 1 (mod d) makes the odd prime p coprime to 2d
+@_kind("guo-linear", _require_dflst)
+def verify_guo_linear(d: int, p: int) -> tuple:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
-    _require_dflst(d, p)  # p ≡ 1 (mod d) makes the odd prime p coprime to 2d
-    case = Case("guo-linear", d=d, p=p)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     weighted = affine_weighted_sum(AffineWeight(1, 0), dflst_series(d, p - 1))
     lhs = reduce_mod(weighted, ctx)
     g = GammaContext(ctx).gamma(Fraction(1, d))
     rhs = reduce_mod(Fraction(d - 1, 2 * d), ctx) * g**d
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
 def _require_guo_even(d: int, p: int) -> None:
@@ -292,30 +337,26 @@ def _require_guo_odd(d: int, p: int) -> None:
     _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
 
 
-def verify_guo_even(d: int, p: int) -> Report:
+@_kind("guo-even", _require_guo_even)
+def verify_guo_even(d: int, p: int) -> tuple:
     """dF_{d-1}(1/d-1, (1+1/d)^{d-1}; 1^{d-1} | 1)_{p-1} ≡
     (d-1)/d^2 Gamma_p(-1/d)^d (mod p^2) for even d, p ≡ -1 (mod d)."""
-    _require_guo_even(d, p)
-    case = Case("guo-even", d=d, p=p)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_even_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(d - 1, d * d), ctx) * g**d
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
-def verify_guo_odd(d: int, p: int) -> Report:
+@_kind("guo-odd", _require_guo_odd)
+def verify_guo_odd(d: int, p: int) -> tuple:
     """dF_{d-1}(1/d, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡
     -1/d^2 Gamma_p(-1/d)^d (mod p^2) for odd d, p ≡ -1 (mod d)."""
-    _require_guo_odd(d, p)
-    case = Case("guo-odd", d=d, p=p)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_odd_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(-1, d * d), ctx) * g**d
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
 def _require_central(p: int, r: int) -> None:
@@ -324,107 +365,91 @@ def _require_central(p: int, r: int) -> None:
     _require(r >= 1, f"need r >= 1, got {r}")
 
 
-def verify_guo_central(p: int, r: int) -> Report:
+@_kind("guo-central", _require_central)
+def verify_guo_central(p: int, r: int) -> tuple:
     """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
-    _require_central(p, r)
-    case = Case("guo-central", p=p, r=r)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2 * r + 1)
     w = AffineWeight(1, -Fraction(p ** (2 * r) - 1, 4))
     lhs = reduce_mod(affine_weighted_sum(w, central_series(p**r - 1)), ctx)
     rhs = Residue(0, ctx)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
-def _finish_mod_p(case: Case, lhs_exact: Fraction, rhs_exact: Fraction, p: int, t0: float) -> Report:
-    """Reduce both exact sides mod p; a non-p-integral side is surfaced as
-    a failing report rather than an exception (it would contradict the
-    integrality the closed forms assume)."""
+def _mod_p(lhs_exact: Fraction, rhs_exact: Fraction, p: int) -> tuple:
+    """Both exact sides reduced mod p. A non-p-integral side is surfaced as
+    a failing report with a ``finding:`` note rather than an exception (it
+    would contradict the integrality the closed forms assume)."""
     ctx = PrimePower(p, 1)
     try:
-        lhs = reduce_mod(lhs_exact, ctx)
-        rhs = reduce_mod(rhs_exact, ctx)
+        return reduce_mod(lhs_exact, ctx), reduce_mod(rhs_exact, ctx), str(ctx)
     except NonIntegralDenominator as exc:
-        return Report(case, None, None, str(ctx), False, perf_counter() - t0, note=f"finding: {exc}")
-    return _finish(case, lhs, rhs, str(ctx), t0)
+        return None, None, str(ctx), f"finding: {exc}"
 
 
-def verify_harmonic_even(d: int, p: int) -> Report:
+@_kind("harmonic-even", _require_guo_even)
+def verify_harmonic_even(d: int, p: int) -> tuple:
     """The harmonic-difference weighted sum over (m-1)_k (m+1)_k^{d-1},
     m = (p+1)/d, against (p-1)!/((m-2)! m!^{d-1}) (1/m + 1/(m-1)) mod p."""
-    _require_guo_even(d, p)
-    case = Case("harmonic-even", d=d, p=p)
-    t0 = perf_counter()
     m = (p + 1) // d
     spec = series([m - 1] + [m + 1] * (d - 1), [1] * (d - 1), 1, p - 1)
     lhs_exact = harmonic_weighted_sum(spec, m - 1, m + 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 2) * factorial(m) ** (d - 1)) * (
         Fraction(1, m) + Fraction(1, m - 1)
     )
-    return _finish_mod_p(case, lhs_exact, rhs_exact, p, t0)
+    return _mod_p(lhs_exact, rhs_exact, p)
 
 
-def verify_harmonic_odd(d: int, p: int) -> Report:
+@_kind("harmonic-odd", _require_guo_odd)
+def verify_harmonic_odd(d: int, p: int) -> tuple:
     """The harmonic-difference weighted sum over (m)_k^2 (m+1)_k^{d-2},
     m = (p+1)/d, against (p-1)!/((m-1)! m!^{d-1}) mod p."""
-    _require_guo_odd(d, p)
-    case = Case("harmonic-odd", d=d, p=p)
-    t0 = perf_counter()
     m = (p + 1) // d
     spec = series([m, m] + [m + 1] * (d - 2), [1] * (d - 1), 1, p - 1)
     lhs_exact = harmonic_weighted_sum(spec, m, m + 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 1) * factorial(m) ** (d - 1))
-    return _finish_mod_p(case, lhs_exact, rhs_exact, p, t0)
+    return _mod_p(lhs_exact, rhs_exact, p)
 
 
 def _require_four_k_plus_one(n: int) -> None:
     _require(n >= 1, f"need n >= 1, got {n}")
 
 
-def verify_four_k_plus_one(n: int) -> Report:
+@_kind("four-k-plus-one", _require_four_k_plus_one)
+def verify_four_k_plus_one(n: int) -> tuple:
     """Exact identity: sum_{k<n} (4k+1)(1/2)_k^2/k!^2 = n^2 C(2n,n)^2/4^{2n-1}."""
-    _require_four_k_plus_one(n)
-    case = Case("four-k-plus-one", n=n)
-    t0 = perf_counter()
     lhs = affine_weighted_sum(AffineWeight(4, 1), central_series(n - 1))
     rhs = Fraction(n * n, 4 ** (2 * n - 1)) * binomial(2 * n, n) ** 2
-    return _finish(case, lhs, rhs, "exact", t0)
+    return lhs, rhs, "exact"
 
 
-def verify_liu(p: int, r: int) -> Report:
+@_kind("liu", _require_central)
+def verify_liu(p: int, r: int) -> tuple:
     """sum (1/2)_k^2/k!^2 over k < p^r ≡ 1 (mod p^2) for p ≡ 1 (mod 4)."""
-    _require_central(p, r)
-    case = Case("liu", p=p, r=r)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(central_series(p**r - 1), ctx)
     rhs = Residue(1, ctx)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
-def _require_three_series(d: int, n_trunc: int) -> None:
+def _require_three_series(d: int, n: int) -> None:
     _require(d >= 2, f"need d >= 2, got {d}")
-    _require(n_trunc >= 0, f"need a truncation >= 0, got {n_trunc}")
+    _require(n >= 0, f"need a truncation >= 0, got {n}")
 
 
-def verify_three_series(d: int, n_trunc: int) -> Report:
+@_kind("three-series", _require_three_series)
+def verify_three_series(d: int, n: int) -> tuple:
     """Exact relation: guo-even series + (d-1) * guo-odd series equals
-    d * combined series, at every truncation; checked both termwise and
+    d * combined series, at every truncation n; checked both termwise and
     on the sums."""
-    _require_three_series(d, n_trunc)
-    case = Case("three-series", d=d, n=n_trunc)
-    t0 = perf_counter()
-    sa = guo_even_series(d, n_trunc)
-    sb = guo_odd_series(d, n_trunc)
-    sc = combined_series(d, n_trunc)
+    sa = guo_even_series(d, n)
+    sb = guo_odd_series(d, n)
+    sc = combined_series(d, n)
     lhs = evaluate_exact(sa) + (d - 1) * evaluate_exact(sb)
     rhs = d * evaluate_exact(sc)
     termwise = all(
         a + (d - 1) * b == d * c for a, b, c in zip(terms(sa), terms(sb), terms(sc))
     )
-    note = "" if termwise else "termwise identity fails"
-    report = _finish(case, lhs, rhs, "exact", t0, note)
-    return report if termwise else replace(report, verdict=False)
+    return lhs, rhs, "exact", "" if termwise else "termwise identity fails"
 
 
 def _require_combined(d: int, p: int) -> None:
@@ -434,35 +459,29 @@ def _require_combined(d: int, p: int) -> None:
     _require(p != d - 1, f"p = d-1 = {p} is excluded")
 
 
-def verify_combined(d: int, p: int) -> Report:
+@_kind("combined", _require_combined)
+def verify_combined(d: int, p: int) -> tuple:
     """dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡ 0 (mod p^2)
     for d >= 3, p ≡ -1 (mod d), p != d-1."""
-    _require_combined(d, p)
-    case = Case("combined", d=d, p=p)
-    t0 = perf_counter()
     ctx = PrimePower(p, 2)
     lhs = evaluate_mod(combined_series(d, p - 1), ctx)
     rhs = Residue(0, ctx)
-    return _finish(case, lhs, rhs, str(ctx), t0)
+    return lhs, rhs, str(ctx)
 
 
-def _require_km_deformed(d: int, p: int, x: Fraction | int, y: Fraction | int) -> None:
+def _require_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> None:
     _require_guo_even(d, p)
-    for name, value in (("x", Fraction(x)), ("y", Fraction(y))):
+    for name, value in (("x", x), ("y", y)):
         # the lower parameter 1+value must not reach 0 within truncation p-1
         message = f"need {name} outside -1..-{p - 1}, got {name} = {value}"
         _require(zero_shift(1 + value, p - 1) is None, message)
 
 
-def verify_km_deformed(d: int, p: int, x: Fraction | int, y: Fraction | int) -> Report:
+@_kind("km-deformed", _require_km_deformed)
+def verify_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> tuple:
     """The (x,y)-deformed terminating sum (leading parameter 1-p, pairs
     m-1+x/1+x, m+1+y/1+y, and (m+1)/1 repeated) equals its Karlsson-Minton
     closed form (p-1)!/((1+x)_{m-2} (1+y)_m m!^{d-2}) exactly."""
-    _require_km_deformed(d, p, x, y)
-    x = Fraction(x)
-    y = Fraction(y)
-    case = Case("km-deformed", d=d, p=p, x=x, y=y)
-    t0 = perf_counter()
     m = (p + 1) // d
     spec = series(
         [1 - p, m - 1 + x, m + 1 + y] + [m + 1] * (d - 2),
@@ -474,43 +493,9 @@ def verify_km_deformed(d: int, p: int, x: Fraction | int, y: Fraction | int) -> 
     rhs = Fraction(factorial(p - 1)) / (
         pochhammer(1 + x, m - 2) * pochhammer(1 + y, m) * factorial(m) ** (d - 2)
     )
-    return _finish(case, lhs, rhs, "exact", t0)
+    return lhs, rhs, "exact"
 
 
-# ---------------------------------------------------------------------------
-# the registry of case kinds
-
-
-class Kind(NamedTuple):
-    """A case kind: the Case fields its hypothesis check and its runner take,
-    in their positional order, and defaults for the optional ones."""
-
-    params: tuple[str, ...]
-    check: Callable[..., None]
-    run: Callable[..., Report]
-    defaults: dict[str, int] = {}
-
-
-# Runners are lambdas so each call finds verify_* by its module-global name,
-# which a caller may rebind (to trace it, say).
-KINDS: dict[str, Kind] = {
-    "rv": Kind(("p",), _require_rv, lambda *a: verify_rodriguez_villegas(*a)),
-    "sun": Kind(("alpha", "p"), _require_sun, lambda *a: verify_sun(*a)),
-    "dflst": Kind(
-        ("d", "p", "strength"), _require_dflst, lambda *a: verify_dflst(*a), defaults={"strength": 2}
-    ),
-    "guo-linear": Kind(("d", "p"), _require_dflst, lambda *a: verify_guo_linear(*a)),
-    "guo-even": Kind(("d", "p"), _require_guo_even, lambda *a: verify_guo_even(*a)),
-    "guo-odd": Kind(("d", "p"), _require_guo_odd, lambda *a: verify_guo_odd(*a)),
-    "guo-central": Kind(("p", "r"), _require_central, lambda *a: verify_guo_central(*a)),
-    "harmonic-even": Kind(("d", "p"), _require_guo_even, lambda *a: verify_harmonic_even(*a)),
-    "harmonic-odd": Kind(("d", "p"), _require_guo_odd, lambda *a: verify_harmonic_odd(*a)),
-    "four-k-plus-one": Kind(("n",), _require_four_k_plus_one, lambda *a: verify_four_k_plus_one(*a)),
-    "liu": Kind(("p", "r"), _require_central, lambda *a: verify_liu(*a)),
-    "three-series": Kind(("d", "n"), _require_three_series, lambda *a: verify_three_series(*a)),
-    "combined": Kind(("d", "p"), _require_combined, lambda *a: verify_combined(*a)),
-    "km-deformed": Kind(("d", "p", "x", "y"), _require_km_deformed, lambda *a: verify_km_deformed(*a)),
-}
 CASE_KINDS = tuple(KINDS)
 
 
@@ -544,6 +529,8 @@ def admissible(case: Case) -> str | None:
 
 
 def run_case(case: Case) -> Report:
-    """Run the verifier a Case describes."""
+    """Run the verifier a Case describes. The verifier is looked up by its
+    module-global name at each call, so a caller may rebind it (to trace
+    it, say)."""
     kind, args = _bind(case)
-    return kind.run(*args)
+    return globals()[kind.verifier](*args)

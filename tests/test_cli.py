@@ -284,6 +284,17 @@ class TestFileErrors:
         assert cli.main(["verify", "rv", "--p", "7", "--out", out]) == 2
         assert calls == []
 
+    def test_hypothesis_error_leaves_out_file_alone(self, tmp_path, capsys):
+        argv = ["verify", "guo-even", "--d", "5", "--p", "9"]
+        assert cli.main(argv) == 2
+        message = capsys.readouterr().err
+        out = tmp_path / "v.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message and not out.exists()
+        out.write_text("kept")
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message and out.read_text() == "kept"
+
 
 class TestSuiteCommand:
     def test_small_suite_exit_zero(self, capsys):
@@ -299,6 +310,11 @@ class TestSuiteCommand:
         assert code == 0
         first = out.read_text().splitlines()[0]
         assert first.startswith("case_id,d,p,r,n,modulus")
+
+    def test_csv_to_stdout_ends_in_one_line_break(self, capsys):
+        assert cli.main(["suite", "--p-max", "7", "--d-set", "3", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\r\n") and not out.endswith("\n\n")
 
     def test_bad_jobs_exit_two(self, capsys):
         assert cli.main(["suite", "--p-max", "7", "--jobs", "-3"]) == 2

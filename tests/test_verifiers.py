@@ -321,6 +321,26 @@ class TestArithmeticSpotChecks:
         assert binomial(2 * p**r, p**r) % p == 2
 
 
+# one admissible case per kind, in CASE_KINDS order, with the direct call
+# that should give the same report
+DIRECT_CALLS = [
+    (Case("rv", p=7), lambda: verify_rodriguez_villegas(7)),
+    (Case("sun", alpha=F(1, 3), p=7), lambda: verify_sun(F(1, 3), 7)),
+    (Case("dflst", d=3, p=7, strength=3), lambda: verify_dflst(3, 7, 3)),
+    (Case("guo-linear", d=3, p=7), lambda: verify_guo_linear(3, 7)),
+    (Case("guo-even", d=4, p=7), lambda: verify_guo_even(4, 7)),
+    (Case("guo-odd", d=3, p=5), lambda: verify_guo_odd(3, 5)),
+    (Case("guo-central", p=5, r=1), lambda: verify_guo_central(5, 1)),
+    (Case("harmonic-even", d=4, p=7), lambda: verify_harmonic_even(4, 7)),
+    (Case("harmonic-odd", d=3, p=5), lambda: verify_harmonic_odd(3, 5)),
+    (Case("four-k-plus-one", n=5), lambda: verify_four_k_plus_one(5)),
+    (Case("liu", p=5, r=1), lambda: verify_liu(5, 1)),
+    (Case("three-series", d=3, n=4), lambda: verify_three_series(3, 4)),
+    (Case("combined", d=3, p=5), lambda: verify_combined(3, 5)),
+    (Case("km-deformed", d=4, p=7, x=F(1, 5), y=F(-1, 3)), lambda: verify_km_deformed(4, 7, F(1, 5), F(-1, 3))),
+]
+
+
 class TestReportsAndDispatch:
     def test_deterministic_reports(self):
         case = Case("dflst", d=3, p=7, strength=2)
@@ -366,6 +386,38 @@ class TestReportsAndDispatch:
         direct = verify_guo_even(4, 7)
         dispatched = run_case(Case("guo-even", d=4, p=7))
         assert direct == dispatched
+
+    @pytest.mark.parametrize("case, direct", DIRECT_CALLS, ids=[case.kind for case, _ in DIRECT_CALLS])
+    def test_every_kind_dispatches_like_its_direct_call(self, case, direct):
+        report = direct()
+        assert report == run_case(case) and report.case == case and report.verdict
+
+    def test_direct_calls_cover_every_kind(self):
+        assert tuple(case.kind for case, _ in DIRECT_CALLS) == CASE_KINDS
+
+    def test_direct_call_fills_defaults(self):
+        assert verify_dflst(3, 7).case.strength == 2
+
+    def test_rational_parameters_stored_as_fractions(self):
+        case = Case("sun", p=7, alpha=1)
+        assert type(case.alpha) is F and case.to_dict()["alpha"] == "1"
+        deformed = verify_km_deformed(4, 7, 0, -9).case
+        assert type(deformed.x) is F and type(deformed.y) is F
+
+    def test_non_p_integral_side_is_a_finding(self, monkeypatch):
+        monkeypatch.setattr(verifiers_mod, "harmonic_weighted_sum", lambda spec, lo, hi: F(1, 7))
+        report = verify_harmonic_even(4, 7)
+        assert not report.verdict and report.lhs is None and report.rhs is None
+        assert report.note.startswith("finding: ")
+
+    def test_termwise_failure_fails_the_report(self, monkeypatch):
+        # squaring every term breaks the linear relation termwise; the sums
+        # (evaluated separately) still agree, so only the note fails it
+        real = verifiers_mod.terms
+        monkeypatch.setattr(verifiers_mod, "terms", lambda spec: [t * t for t in real(spec)])
+        report = verify_three_series(3, 4)
+        assert report.lhs == report.rhs
+        assert not report.verdict and report.note == "termwise identity fails"
 
 
 # ---------------------------------------------------------------------------
