@@ -1,17 +1,29 @@
 """p-adic valuations, residues mod p^k, and Morita's p-adic Gamma function.
 
-The Gamma function is the Morita product over integers below n and coprime
-to p, carrying a sign (-1)^n, with Gamma(0) = 1. It extends continuously
-to p-adic integers: if m ≡ n (mod p^k) then Gamma(m) ≡ Gamma(n) (mod p^k),
-so a rational argument x is evaluated at its canonical representative in
+The Gamma function (Morita, "A p-adic analogue of the Gamma-function",
+1975) is the product over integers below n and coprime to p, carrying a
+sign (-1)^n, with Gamma(0) = 1. It extends continuously to p-adic
+integers: if m ≡ n (mod p^k) then Gamma(m) ≡ Gamma(n) (mod p^k), so a
+rational argument x is evaluated at its canonical representative in
 [0, p^k).
 
-The product is taken in blocks (after Bostan, Gaudry and Schost, SIAM J.
-Comput. 2007). For n = A p + b it is f(0) f(p) ... f((A-1) p) times the
-units in (A p, n), where f(x) = (x + 1)(x + 2)...(x + p - 1). Since
-x^i ≡ 0 (mod p^k) for x = a p and i >= k, only the k lowest coefficients
-of f matter: they are found once in O(p k), and each block is then a
-k-term Horner evaluation, O(p^(k-1) k) in all instead of O(p^k).
+The product is taken in blocks of p (after Bostan, Gaudry and Schost,
+SIAM J. Comput. 2007), with the blocks summed in closed form. For
+n = A p + b it is f(0) f(p) ... f((A-1) p) times the tail F_(b-1)(A p),
+where F_t(x) = (x + 1)...(x + t) and f = F_(p-1). Since x^i ≡ 0 (mod p^k)
+for x in pZ_p and i >= k, only the k lowest coefficients of each F_t
+matter, and one pass over t = 1..p-1 yields both the tail and f. With
+g = f / f(0), each block is f(0) g(a p), and the product of the g(a p)
+over a < A is exp(L), where L = sum_j l_j p^j S_j(A) runs over the
+coefficients l_j of log g with 1 <= j < k and the power sums
+S_j(A) = sum_(a<A) a^j. L is divisible by p, so k terms of exp suffice.
+The cost is O(p k + k^3), whatever n is.
+
+The truncations need p > k: the divisions by j and t are then by units,
+and the dropped log and exp terms vanish mod p^k. The closed form is
+used for p > k + 1. Below that p^k is tiny, and the product is taken
+factor by factor up to n mod p^k: the units mod p^k multiply to -1, so
+each whole period below n contributes -1.
 """
 
 from __future__ import annotations
@@ -169,22 +181,40 @@ def least_nonneg_residue(x: Fraction | int, p: int) -> int:
 def _unit_product(n: int, ctx: PrimePower) -> int:
     """Product of 1 <= j < n with p not dividing j, reduced mod p^k."""
     p, k, m = ctx.p, ctx.k, ctx.modulus
-    # the k lowest coefficients c_i of f(x) = (x + 1)...(x + p - 1), mod p^k
+    periods, n = divmod(n, m)
+    sign = -1 if periods % 2 else 1
+    if p <= k + 1:
+        return sign * math.prod(j for j in range(1, n) if j % p) % m
+    blocks, b = divmod(n, p)
+
+    def times_rising(c: list[int], lo: int, hi: int) -> None:
+        # c <- c (x + lo)...(x + hi - 1), keeping the k lowest coefficients
+        for t in range(lo, hi):
+            for i in range(k - 1, 0, -1):
+                c[i] = (c[i] * t + c[i - 1]) % m
+            c[0] = c[0] * t % m
+
     c = [1] + [0] * (k - 1)
-    for j in range(1, p):
-        for i in range(k - 1, 0, -1):
-            c[i] = (c[i] * j + c[i - 1]) % m
-        c[0] = c[0] * j % m
-    # f(a p) ≡ sum_i (c_i p^i) a^i, evaluated by Horner from the top
-    horner = [c[i] * p**i % m for i in reversed(range(k))]
-    blocks = n // p
-    acc = 1
-    for a in range(blocks):
-        f = 0
-        for d in horner:
-            f = f * a + d
-        acc = acc * f % m
-    return acc * math.prod(range(blocks * p + 1, n)) % m
+    times_rising(c, 1, b)
+    tail = sum(ci * pow(blocks * p, i, m) for i, ci in enumerate(c)) % m
+    times_rising(c, max(b, 1), p)
+    # g = f / f(0); w_j = j l_j from (log g)' g = g'
+    inv_f0 = pow(c[0], -1, m)
+    g = [ci * inv_f0 % m for ci in c]
+    w = [0] * k
+    for j in range(1, k):
+        w[j] = (j * g[j] - sum(w[i] * g[j - i] for i in range(1, j))) % m
+    # S_j(A) from A^(j+1) = sum_(i<=j) C(j+1, i) S_i(A)
+    sums = [blocks]
+    for j in range(1, k):
+        sums.append((blocks ** (j + 1) - sum(math.comb(j + 1, i) * sums[i] for i in range(j))) // (j + 1))
+    log_blocks = sum(w[j] * pow(j, -1, m) * p**j * sums[j] for j in range(1, k)) % m
+    # exp(L), whose terms L^t / t! with t >= k vanish mod p^k
+    term = exp_blocks = 1
+    for t in range(1, k):
+        term = term * log_blocks * pow(t, -1, m) % m
+        exp_blocks += term
+    return sign * pow(c[0], blocks, m) * exp_blocks * tail % m
 
 
 def gamma_p_int(n: int, ctx: PrimePower) -> Residue:

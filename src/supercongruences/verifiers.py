@@ -182,8 +182,8 @@ def _require(cond: bool, msg: str) -> None:
         raise HypothesisViolated(msg)
 
 
-def _require_prime(p: int, extra: str = "") -> None:
-    _require(is_prime(p) and p % 2 == 1, f"p must be an odd prime{extra}, got {p}")
+def _require_prime(p: int) -> None:
+    _require(is_prime(p) and p % 2 == 1, f"p must be an odd prime, got {p}")
 
 
 # ---------------------------------------------------------------------------

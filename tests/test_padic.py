@@ -22,8 +22,10 @@ from supercongruences.padic import (
 )
 
 from supercongruences.primes import odd_primes_up_to
+from supercongruences.verifiers import Case, run_case
 
 F = Fraction
+LARGE_PRIMES = [p for p in odd_primes_up_to(20_000) if p >= 1000]
 
 
 def chunked_unit_product(n, p, modulus):
@@ -38,6 +40,57 @@ def chunked_unit_product(n, p, modulus):
         acc = acc * math.prod(range(lo, hi)) % modulus
         a += 1
     return acc
+
+
+def block_unit_product(n, p, k):
+    """Test oracle: the same product mod p^k in blocks of p (the library's
+    method before the log/exp closed form). For n = A p + b it is
+    f(0) f(p) ... f((A-1) p) times the units in (A p, n), where
+    f(x) = (x + 1)...(x + p - 1); since (a p)^i ≡ 0 for i >= k, each block
+    is a k-term Horner evaluation of f's k lowest coefficients."""
+    m = p**k
+    c = [1] + [0] * (k - 1)
+    for j in range(1, p):
+        for i in range(k - 1, 0, -1):
+            c[i] = (c[i] * j + c[i - 1]) % m
+        c[0] = c[0] * j % m
+    horner = [c[i] * p**i % m for i in reversed(range(k))]
+    blocks = n // p
+    acc = 1
+    for a in range(blocks):
+        f = 0
+        for d in horner:
+            f = f * a + d
+        acc = acc * f % m
+    return acc * math.prod(range(blocks * p + 1, n)) % m
+
+
+@st.composite
+def gamma_oracle_inputs(draw):
+    """(p, k, n) with p <= 200 and k <= 4, the small-prime path (p <= k + 1)
+    drawn often, and n biased toward n ≡ 0, 1, 2 (mod p), where the tail
+    after the last full block is empty or one factor long."""
+    p = draw(st.one_of(st.sampled_from([3, 5]), st.sampled_from(odd_primes_up_to(200))))
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 100_000 // p)) * p + draw(st.integers(0, 2))
+    else:
+        n = draw(st.integers(0, 100_000))
+    return p, k, n
+
+
+@st.composite
+def large_prime_arguments(draw, unit_only=False):
+    """(p, x) with p in [1000, 20000] and x a p-adic integer with a small
+    numerator and denominator, pushed into pZ_p half the time unless
+    units were requested."""
+    p = draw(st.sampled_from(LARGE_PRIMES))
+    num = draw(st.integers(-60, 60).filter(lambda v: v != 0))
+    den = draw(st.integers(1, 24))
+    x = F(num, den)
+    if not unit_only and draw(st.booleans()):
+        x *= p
+    return p, x
 
 
 def sample_padic_integers(rng, p, count, unit_only=False):
@@ -210,6 +263,15 @@ class TestGammaInteger:
         expected = (-1) ** n * chunked_unit_product(n, p, ctx.modulus) % ctx.modulus
         assert gamma_p_int(n, ctx).value == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(gamma_oracle_inputs())
+    def test_matches_block_oracle(self, inputs):
+        # n runs past p^k whenever p^k < 10^5
+        p, k, n = inputs
+        ctx = PrimePower(p, k)
+        expected = (-1) ** n * block_unit_product(n, p, k) % ctx.modulus
+        assert gamma_p_int(n, ctx).value == expected
+
 
 class TestGammaRational:
     def test_half_squared_is_minus_one(self):
@@ -270,6 +332,37 @@ class TestGammaFunctionalEquations:
             gc = GammaContext(PrimePower(p, 3))
             for x in sample_padic_integers(rng, p, 20):
                 assert math.gcd(gc.gamma(x).value, p) == 1
+
+
+class TestGammaLargePrimes:
+    """Primes in [1000, 20000], beyond the reach of the block product in
+    test time; the cost of one Gamma value is O(p k)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_prime_arguments(), st.sampled_from([2, 3]))
+    def test_shift(self, px, k):
+        p, x = px
+        gc = GammaContext(PrimePower(p, k))
+        factor = reduce_mod(-x, gc.ctx) if valuation(x, p) == 0 else -1
+        assert gc.gamma(x + 1) == factor * gc.gamma(x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_prime_arguments(unit_only=True), st.sampled_from([2, 3]))
+    def test_reflection(self, px, k):
+        p, x = px
+        gc = GammaContext(PrimePower(p, k))
+        sign = (-1) ** (least_nonneg_residue(-x, p) - 1)
+        assert gc.gamma(x) * gc.gamma(1 - x) == reduce_mod(sign, gc.ctx)
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_prime_arguments())
+    def test_precision_coherence(self, px):
+        p, x = px
+        hi = GammaContext(PrimePower(p, 3)).gamma(x)
+        assert hi.at_precision(2) == GammaContext(PrimePower(p, 2)).gamma(x)
+
+    def test_dflst_end_to_end(self):
+        assert run_case(Case("dflst", d=3, p=10009, strength=3)).verdict
 
 
 class TestFirstOrderExpansion:
