@@ -20,6 +20,7 @@ from .exact import (
 from .hypergeom import (
     AffineWeight,
     SeriesSpec,
+    affine_weighted_mod,
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,

@@ -1,22 +1,29 @@
-"""Truncated hypergeometric series with exact rational terms.
+"""Truncated hypergeometric series: exact sums, and sums mod p^k.
 
 A series spec holds upper parameters a_0..a_r, lower parameters b_1..b_r,
 an argument z, and an inclusive truncation index n; the k-th term is
 
     (a_0)_k ... (a_r)_k / ((b_1)_k ... (b_r)_k) * z^k / k!
 
-Every sum, plain or weighted, is one product of integer matrices taken by
-binary splitting (Haible & Papanikolaou, "Fast multiprecision evaluation
-of series of rational numbers", ANTS 1998): step k advances the state
+Every sum, plain or weighted, is a product of integer step matrices
+(Haible & Papanikolaou, "Fast multiprecision evaluation of series of
+rational numbers", ANTS 1998): step k advances the state
 (t_k, w_k t_k, sum_{j<k} w_j t_j) to k+1 by a lower-triangular integer
-matrix over one integer denominator, adjacent steps are multiplied
-pairwise up a balanced tree, and a single ``Fraction`` (one gcd) is built
-at the end; ``terms`` yields the terms one by one from the same integer
-ratios. The modular value of a sum is always the exact sum reduced
-afterwards, never a per-term modular accumulation, so terms that are not
-individually p-integral cost nothing extra.
-"""
+matrix over one integer denominator Q(k) D(k). The exact sum multiplies
+the steps pairwise up a balanced tree and builds a single ``Fraction``
+(one gcd) at the end; ``terms`` yields the terms one by one from the same
+integer ratios.
 
+A sum mod p^k folds the same steps in Z/p^k instead, over one common
+denominator that is inverted once at the end, when every step
+denominator Q(k) D(k) for k < n and the starting weight's denominator are
+prime to p. Each step matrix is then p-integral, so their product is, and
+the folded residue is the exact sum reduced. The rule is checked before
+any step runs, from the parameters alone; when it fails (a lower
+parameter, k+1 or a weight step reaches a multiple of p below n) the sum
+is taken exactly and reduced afterwards, because its terms need not be
+p-integral even where the sum is.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -75,13 +82,19 @@ def series(
     return SeriesSpec(tuple(upper), tuple(lower), Fraction(z), n)
 
 
+def _forms(spec: SeriesSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The linear forms (u, v) of the upper and lower factors: a + k =
+    (u + v k) / v for a = u/v; the trailing (1, 1) is the k+1 of k!."""
+    upper = [(a.numerator, a.denominator) for a in spec.upper]
+    lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]
+    return upper, lower
+
+
 def _ratios(spec: SeriesSpec) -> tuple[Iterator[int], Iterator[int]]:
     """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only:
     SeriesSpec guarantees b + k != 0 there, not at n."""
     n = spec.n
-    upper = [(a.numerator, a.denominator) for a in spec.upper]
-    # a + k = (num + den k) / den; the trailing (1, 1) is the k+1 of k!
-    lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]
+    upper, lower = _forms(spec)
     ps = _linear_products(spec.z.numerator * prod(den for _, den in lower), upper, n)
     qs = _linear_products(spec.z.denominator * prod(den for _, den in upper), lower, n)
     return ps, qs
@@ -170,19 +183,85 @@ def _weighted_sum(
     return Fraction((b + c) * wd + (a + d) * wn, e * wd)
 
 
+def _p_integral_steps(
+    spec: SeriesSpec,
+    p: int,
+    w0: Fraction,
+    step_den: int = 1,
+    step_forms: Sequence[tuple[int, int]] = (),
+) -> bool:
+    """Whether p divides neither w0's denominator nor any step denominator
+    Q(k) D(k) of ``_weighted_sum`` for k < n, decided per linear form
+    rather than per step: u + v k for k >= 0 first meets a multiple of p
+    at k = -u/v mod p when p does not divide v, and never (or at k = 0)
+    when it does."""
+    if w0.denominator % p == 0:
+        return False
+    if spec.n == 0:
+        return True
+    upper, lower = _forms(spec)
+    if spec.z.denominator * step_den * prod(den for _, den in upper) % p == 0:
+        return False
+    for u, v in (*lower, *step_forms):
+        if v % p == 0:
+            if u % p == 0:
+                return False
+        elif -u * pow(v, -1, p) % p < spec.n:
+            return False
+    return True
+
+
+def _weighted_mod(
+    spec: SeriesSpec,
+    ctx: PrimePower,
+    w0: Fraction,
+    step_num: int = 0,
+    step_den: int = 1,
+    step_forms: Sequence[tuple[int, int]] = (),
+) -> Residue | None:
+    """``_weighted_sum`` of the same arguments mod p^k, folded step by step
+    over one common denominator e: (t, v, acc) / e = (t_k, w_k t_k,
+    sum_{j<k} w_j t_j) mod p^k. None when ``_p_integral_steps`` fails,
+    since e need not then be a unit mod p^k."""
+    if not _p_integral_steps(spec, ctx.p, w0, step_den, step_forms):
+        return None
+    m = ctx.modulus
+    ps, qs = _ratios(spec)
+    if step_num == 0:
+        # a constant weight needs no t: v = w0 t, and D(k) cancels
+        v, acc, e = w0.numerator, 0, w0.denominator
+        for p, q in zip(ps, qs):
+            acc = (acc + v) * q % m
+            v = v * p % m
+            e = e * q % m
+        return Residue((acc + v) * pow(e, -1, m), ctx)
+    ds = _linear_products(step_den, step_forms, spec.n)
+    t, v, acc, e = w0.denominator, w0.numerator, 0, w0.denominator
+    for p, q, dk in zip(ps, qs, ds):
+        pd, qd = p * dk, q * dk
+        acc = (acc + v) * qd % m
+        v = (v * pd + t * p * step_num) % m
+        t = t * pd % m
+        e = e * qd % m
+    return Residue((acc + v) * pow(e, -1, m), ctx)
+
+
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
     """Exact value of the truncated sum."""
     return _weighted_sum(spec, Fraction(1))
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """Exact sum reduced mod p^k.
+    """The truncated sum mod p^k: folded in Z/p^k when every step is a
+    p-unit, else the exact sum reduced. Both give the same residue
+    whenever the fold applies.
 
     Raises NonIntegralDenominator when the exact value is not p-integral,
     which means the congruence being probed is ill-posed for these
     parameters.
     """
-    return reduce_mod(evaluate_exact(spec), ctx)
+    value = _weighted_mod(spec, ctx, Fraction(1))
+    return reduce_mod(evaluate_exact(spec), ctx) if value is None else value
 
 
 @dataclass(frozen=True)
@@ -203,6 +282,13 @@ class AffineWeight:
 def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
     """Exact sum of (slope*k + intercept) * t_k over the truncation range."""
     return _weighted_sum(spec, w.intercept, w.slope.numerator, w.slope.denominator)
+
+
+def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:
+    """``affine_weighted_sum`` mod p^k, by the same rule as ``evaluate_mod``;
+    NonIntegralDenominator when the exact value is not p-integral."""
+    value = _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
+    return reduce_mod(affine_weighted_sum(w, spec), ctx) if value is None else value
 
 
 def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> Fraction:

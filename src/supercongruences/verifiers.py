@@ -49,6 +49,7 @@ from .exact import binomial, factorial, pochhammer, zero_shift
 from .hypergeom import (
     AffineWeight,
     SeriesSpec,
+    affine_weighted_mod,
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,
@@ -317,8 +318,7 @@ def verify_dflst(d: int, p: int, strength: int = 2) -> tuple:
 def verify_guo_linear(d: int, p: int) -> tuple:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
     ctx = PrimePower(p, 2)
-    weighted = affine_weighted_sum(AffineWeight(1, 0), dflst_series(d, p - 1))
-    lhs = reduce_mod(weighted, ctx)
+    lhs = affine_weighted_mod(AffineWeight(1, 0), dflst_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(1, d))
     rhs = reduce_mod(Fraction(d - 1, 2 * d), ctx) * g**d
     return lhs, rhs, str(ctx)
@@ -370,7 +370,7 @@ def verify_guo_central(p: int, r: int) -> tuple:
     """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
     ctx = PrimePower(p, 2 * r + 1)
     w = AffineWeight(1, -Fraction(p ** (2 * r) - 1, 4))
-    lhs = reduce_mod(affine_weighted_sum(w, central_series(p**r - 1)), ctx)
+    lhs = affine_weighted_mod(w, central_series(p**r - 1), ctx)
     rhs = Residue(0, ctx)
     return lhs, rhs, str(ctx)
 

@@ -12,6 +12,9 @@ from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
 from supercongruences.hypergeom import (
     AffineWeight,
+    _p_integral_steps,
+    _weighted_mod,
+    affine_weighted_mod,
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,
@@ -307,3 +310,162 @@ class TestTreeAgainstLoops:
         assert evaluate_exact(spec) == loop_evaluate(spec) == naive_sum([F(1, 2), 1], [-n], F(-1, 2), n)
         assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
         assert harmonic_weighted_sum(spec, -n, F(1, 2)) == loop_harmonic(spec, -n, F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the fold mod p^k against the exact tree reduced
+
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def exact_then_reduce(exact, ctx):
+    """The Residue of reduce_mod(exact()), or NonIntegralDenominator if it
+    raises that."""
+    try:
+        return reduce_mod(exact(), ctx)
+    except NonIntegralDenominator:
+        return NonIntegralDenominator
+
+
+def mod_outcome(modular):
+    try:
+        return modular()
+    except NonIntegralDenominator:
+        return NonIntegralDenominator
+
+
+@st.composite
+def mod_cases(draw):
+    """(spec, ctx, w) with odd p <= 47, k <= 4 and n <= 60. Half the draws
+    keep every step a p-unit: n < p, denominators prime to p, and each
+    lower parameter u/v first meets u + v k ≡ 0 (mod p) at some k >= n.
+    The rest draw denominators that are p now and then and n up to 60, so
+    the fold's rule mostly fails."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    r = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, p - 1))
+        dens = st.sampled_from([v for v in range(1, 7) if v % p])
+        lower_values = st.builds(
+            lambda v, root, j: F(-root * v % p + j * p, v), dens, st.integers(n, p - 1), st.integers(-1, 1)
+        )
+    else:
+        n = draw(st.integers(0, 60))
+        dens = st.one_of(st.integers(1, 6), st.just(p))
+        lower_values = st.builds(F, st.integers(-12, 12), dens).filter(
+            lambda b: not (b.denominator == 1 and -n < b <= 0)
+        )
+    values = st.builds(F, st.integers(-12, 12), dens)
+    upper = draw(st.lists(values, min_size=r + 1, max_size=r + 1))
+    lower = draw(st.lists(lower_values, min_size=r, max_size=r))
+    spec = series(upper, lower, draw(values), n)
+    ctx = PrimePower(p, draw(st.integers(1, 4)))
+    return spec, ctx, AffineWeight(draw(values), draw(values))
+
+
+class TestFoldAgainstExact:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mod_cases())
+    def test_plain(self, case):
+        spec, ctx, _ = case
+        expected = exact_then_reduce(lambda: evaluate_exact(spec), ctx)
+        folded = _weighted_mod(spec, ctx, F(1))
+        if folded is not None:
+            assert folded == expected
+        assert mod_outcome(lambda: evaluate_mod(spec, ctx)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mod_cases())
+    def test_affine(self, case):
+        spec, ctx, w = case
+        expected = exact_then_reduce(lambda: affine_weighted_sum(w, spec), ctx)
+        folded = _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
+        if folded is not None:
+            assert folded == expected
+        assert mod_outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
+
+    def test_truncation_zero(self):
+        # no steps: p in z and the upper denominators does not matter, w0 does
+        spec = series([F(2, 5), 3], [F(4, 5)], F(1, 5), 0)
+        ctx = PrimePower(5, 2)
+        assert _weighted_mod(spec, ctx, F(1)) == evaluate_mod(spec, ctx) == 1
+        assert affine_weighted_mod(AffineWeight(3, F(2, 7)), spec, ctx) == reduce_mod(F(2, 7), ctx)
+        with pytest.raises(NonIntegralDenominator):
+            affine_weighted_mod(AffineWeight(3, F(2, 5)), spec, ctx)
+
+    def test_terminating_upper_parameter(self):
+        # terms vanish from k = 4 on; at p = 31 the root of 1/3 + k is k = 10
+        spec = series([-3, F(1, 2)], [F(1, 3)], 2, 10)
+        ctx = PrimePower(31, 3)
+        w = AffineWeight(F(1, 2), -1)
+        assert _weighted_mod(spec, ctx, F(1)) == reduce_mod(evaluate_exact(spec), ctx)
+        assert _weighted_mod(spec, ctx, w.intercept, 1, 2) == reduce_mod(affine_weighted_sum(w, spec), ctx)
+        # one step further and 1/3 + k reaches 31/3: the exact path answers
+        longer = series([-3, F(1, 2)], [F(1, 3)], 2, 11)
+        assert _weighted_mod(longer, ctx, F(1)) is None
+        assert evaluate_mod(longer, ctx) == reduce_mod(evaluate_exact(spec), ctx)
+
+
+def brute_force_rule(spec, p, w0, step_den, step_forms):
+    """w0 and every step denominator Q(k) D(k), k < n, prime to p, each
+    built from its definition."""
+    const = spec.z.denominator * prod(a.denominator for a in spec.upper) * step_den
+    for k in range(spec.n):
+        q = const * (k + 1) * prod(b.numerator + b.denominator * k for b in spec.lower)
+        d = prod(u + v * k for u, v in step_forms)
+        if q * d % p == 0:
+            return False
+    return w0.denominator % p != 0
+
+
+@st.composite
+def rule_cases(draw):
+    """(spec, p, w0, step_den, step_forms). Each draw picks up to two of z,
+    the upper and lower parameters, w0, step_den and the step forms whose
+    denominators (slopes v, for the forms) may be multiples of p."""
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    n = draw(st.one_of(st.integers(0, p), st.integers(0, 60)))
+    names = ("z", "upper", "lower", "w0", "step_den", "forms")
+    with_p = draw(st.sets(st.sampled_from(names), max_size=2))
+
+    def dens(name):
+        if name in with_p:
+            return st.one_of(st.integers(1, 6), st.integers(1, 3).map(lambda j: j * p))
+        return st.integers(1, 6)
+
+    def values(name):
+        return st.builds(F, st.integers(-3 * p, 3 * p), dens(name))
+
+    r = draw(st.integers(0, 3))
+    upper = draw(st.lists(values("upper"), min_size=r + 1, max_size=r + 1))
+    lower_values = values("lower").filter(lambda b: not (b.denominator == 1 and -n < b <= 0))
+    lower = draw(st.lists(lower_values, min_size=r, max_size=r))
+    spec = series(upper, lower, draw(values("z")), n)
+    forms = draw(st.lists(st.tuples(st.integers(-3 * p, 3 * p), dens("forms")), max_size=2))
+    return spec, p, draw(values("w0")), draw(dens("step_den")), forms
+
+
+class TestFoldRule:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rule_cases())
+    def test_matches_brute_force(self, case):
+        spec, p, w0, step_den, forms = case
+        assert _p_integral_steps(spec, p, w0, step_den, forms) == brute_force_rule(spec, p, w0, step_den, forms)
+
+    def test_each_denominator_carrying_p(self):
+        # at p = 7 and n = 3: 1/2 + k first reaches 7/2 at k = 3
+        spec = series([F(1, 2), 1], [F(1, 2)], F(1, 3), 3)
+        assert _p_integral_steps(spec, 7, F(1), 5, [(1, 2)])
+        assert not _p_integral_steps(series([F(1, 7), 1], [F(1, 2)], F(1, 3), 3), 7, F(1))
+        assert not _p_integral_steps(series([F(1, 2), 1], [F(1, 2)], F(1, 7), 3), 7, F(1))
+        assert not _p_integral_steps(spec, 7, F(1, 7))
+        assert not _p_integral_steps(spec, 7, F(1), 14)
+        assert not _p_integral_steps(spec, 7, F(1), 1, [(1, 3)])  # 1 + 3*2 = 7
+        # with no steps only w0 counts
+        assert _p_integral_steps(series([F(1, 7), 1], [F(3, 2)], F(1, 7), 0), 7, F(1), 7)
+
+    def test_form_with_p_dividing_v(self):
+        spec = series([F(1, 2), 1], [F(3, 7)], 1, 3)  # 3 + 7k is never 0 mod 7
+        assert _p_integral_steps(spec, 7, F(1))
+        assert not _p_integral_steps(spec, 7, F(1), 1, [(14, 7)])
+        assert _p_integral_steps(spec, 7, F(1), 1, [(15, 7)])

@@ -364,6 +364,12 @@ class TestGammaLargePrimes:
     def test_dflst_end_to_end(self):
         assert run_case(Case("dflst", d=3, p=10009, strength=3)).verdict
 
+    def test_guo_linear_end_to_end(self):
+        assert run_case(Case("guo-linear", d=3, p=10009)).verdict
+
+    def test_combined_end_to_end(self):
+        assert run_case(Case("combined", d=3, p=10007)).verdict
+
 
 class TestFirstOrderExpansion:
     def test_defining_case(self):

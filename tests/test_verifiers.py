@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supercongruences.hypergeom as hypergeom_mod
 import supercongruences.verifiers as verifiers_mod
 from supercongruences.errors import HypothesisViolated
 from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
+from supercongruences.suite import SuiteConfig, enumerate_cases
 from supercongruences.verifiers import (
     CASE_KINDS,
     KINDS,
@@ -319,6 +321,45 @@ class TestArithmeticSpotChecks:
         from supercongruences.exact import binomial
 
         assert binomial(2 * p**r, p**r) % p == 2
+
+
+class ExactPathTaken(Exception):
+    pass
+
+
+class TestModularPath:
+    """Which kinds take their series sums mod p^k by the fold, and which
+    still need the exact tree: the tree is made to raise."""
+
+    @pytest.fixture
+    def no_exact_tree(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ExactPathTaken
+
+        monkeypatch.setattr(hypergeom_mod, "evaluate_exact", refuse)
+        monkeypatch.setattr(hypergeom_mod, "_weighted_sum", refuse)
+
+    FOLDED = ("dflst", "guo-linear", "guo-even", "guo-odd", "combined", "rv", "sun")
+
+    @pytest.mark.parametrize("kind", FOLDED)
+    def test_default_grid_needs_no_exact_tree(self, kind, no_exact_tree):
+        cases = [case for case in enumerate_cases(SuiteConfig()) if case.kind == kind]
+        assert cases
+        assert all(run_case(case).verdict for case in cases)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            Case("liu", p=5, r=2),
+            Case("guo-central", p=5, r=2),
+            Case("harmonic-even", d=4, p=7),
+            Case("harmonic-odd", d=3, p=5),
+        ],
+        ids=lambda case: case.kind,
+    )
+    def test_exact_path_kept_where_the_rule_fails(self, case, no_exact_tree):
+        with pytest.raises(ExactPathTaken):
+            run_case(case)
 
 
 # one admissible case per kind, in CASE_KINDS order, with the direct call
