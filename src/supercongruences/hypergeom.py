@@ -24,6 +24,7 @@ parameter, k+1 or a weight step reaches a multiple of p below n) the sum
 is taken exactly and reduced afterwards, because its terms need not be
 p-integral even where the sum is.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -192,9 +193,9 @@ def _p_integral_steps(
 ) -> bool:
     """Whether p divides neither w0's denominator nor any step denominator
     Q(k) D(k) of ``_weighted_sum`` for k < n, decided per linear form
-    rather than per step: u + v k for k >= 0 first meets a multiple of p
-    at k = -u/v mod p when p does not divide v, and never (or at k = 0)
-    when it does."""
+    rather than per step: when p does not divide v, u + v k for k >= 0 is
+    first a multiple of p at k = -u/v mod p; when it does, u + v k ≡ u
+    (mod p) for every k."""
     if w0.denominator % p == 0:
         return False
     if spec.n == 0:
@@ -228,7 +229,8 @@ def _weighted_mod(
     m = ctx.modulus
     ps, qs = _ratios(spec)
     if step_num == 0:
-        # a constant weight needs no t: v = w0 t, and D(k) cancels
+        # a constant weight needs no t, since v = w0 t, and D(k) cancels
+        # from t's step P D / (Q D)
         v, acc, e = w0.numerator, 0, w0.denominator
         for p, q in zip(ps, qs):
             acc = (acc + v) * q % m

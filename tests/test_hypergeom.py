@@ -384,6 +384,19 @@ class TestFoldAgainstExact:
             assert folded == expected
         assert mod_outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=mod_cases(), data=st.data())
+    def test_harmonic_steps(self, case, data):
+        # the weight steps of harmonic_weighted_sum, folded wherever the rule holds
+        spec, ctx, _ = case
+        c1 = data.draw(clear_of(spec.n))
+        c2 = data.draw(clear_of(spec.n))
+        forms = ((c1.numerator, c1.denominator), (c2.numerator, c2.denominator))
+        step_num = c1.denominator * c2.numerator - c2.denominator * c1.numerator
+        folded = _weighted_mod(spec, ctx, F(0), step_num, 1, forms)
+        if folded is not None:
+            assert folded == reduce_mod(harmonic_weighted_sum(spec, c1, c2), ctx)
+
     def test_truncation_zero(self):
         # no steps: p in z and the upper denominators does not matter, w0 does
         spec = series([F(2, 5), 3], [F(4, 5)], F(1, 5), 0)
