@@ -318,18 +318,10 @@ class TestTreeAgainstLoops:
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def exact_then_reduce(exact, ctx):
-    """The Residue of reduce_mod(exact()), or NonIntegralDenominator if it
-    raises that."""
+def outcome(compute):
+    """compute(), or NonIntegralDenominator if it raises that."""
     try:
-        return reduce_mod(exact(), ctx)
-    except NonIntegralDenominator:
-        return NonIntegralDenominator
-
-
-def mod_outcome(modular):
-    try:
-        return modular()
+        return compute()
     except NonIntegralDenominator:
         return NonIntegralDenominator
 
@@ -368,21 +360,21 @@ class TestFoldAgainstExact:
     @given(case=mod_cases())
     def test_plain(self, case):
         spec, ctx, _ = case
-        expected = exact_then_reduce(lambda: evaluate_exact(spec), ctx)
+        expected = outcome(lambda: reduce_mod(evaluate_exact(spec), ctx))
         folded = _weighted_mod(spec, ctx, F(1))
         if folded is not None:
             assert folded == expected
-        assert mod_outcome(lambda: evaluate_mod(spec, ctx)) == expected
+        assert outcome(lambda: evaluate_mod(spec, ctx)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(case=mod_cases())
     def test_affine(self, case):
         spec, ctx, w = case
-        expected = exact_then_reduce(lambda: affine_weighted_sum(w, spec), ctx)
+        expected = outcome(lambda: reduce_mod(affine_weighted_sum(w, spec), ctx))
         folded = _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
         if folded is not None:
             assert folded == expected
-        assert mod_outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
+        assert outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(case=mod_cases(), data=st.data())
@@ -413,7 +405,8 @@ class TestFoldAgainstExact:
         w = AffineWeight(F(1, 2), -1)
         assert _weighted_mod(spec, ctx, F(1)) == reduce_mod(evaluate_exact(spec), ctx)
         assert _weighted_mod(spec, ctx, w.intercept, 1, 2) == reduce_mod(affine_weighted_sum(w, spec), ctx)
-        # one step further and 1/3 + k reaches 31/3: the exact path answers
+        # one step further and 1/3 + k reaches 31/3: the exact path answers,
+        # with the same sum since the added term is 0
         longer = series([-3, F(1, 2)], [F(1, 3)], 2, 11)
         assert _weighted_mod(longer, ctx, F(1)) is None
         assert evaluate_mod(longer, ctx) == reduce_mod(evaluate_exact(spec), ctx)
