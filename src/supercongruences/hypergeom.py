@@ -228,15 +228,6 @@ def _weighted_mod(
         return None
     m = ctx.modulus
     ps, qs = _ratios(spec)
-    if step_num == 0:
-        # a constant weight needs no t, since v = w0 t, and D(k) cancels
-        # from t's step P D / (Q D)
-        v, acc, e = w0.numerator, 0, w0.denominator
-        for p, q in zip(ps, qs):
-            acc = (acc + v) * q % m
-            v = v * p % m
-            e = e * q % m
-        return Residue((acc + v) * pow(e, -1, m), ctx)
     ds = _linear_products(step_den, step_forms, spec.n)
     t, v, acc, e = w0.denominator, w0.numerator, 0, w0.denominator
     for p, q, dk in zip(ps, qs, ds):
