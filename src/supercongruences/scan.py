@@ -4,9 +4,15 @@ For d >= 2 and n ≡ -1 (mod d) with n > d-1, the quantity
 
     (n-1)!^d * d^(dn-d) / n^2 * dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{n-1}
 
-is conjectured to be an integer. The scan evaluates every admissible cell
-exactly and records it; a non-integral cell would be a counterexample and
-is reported loudly, never swallowed.
+is conjectured to be an integer. The series' step ratio is P(k)/Q(k) with
+P(k) = (dk+1-d)(dk+1)(dk+d+1)^(d-2) and Q(k) = d^d (k+1)^d, so the unreduced
+denominator of the sum truncated at n-1, Q(0)...Q(n-2) = d^(d(n-1)) (n-1)!^d,
+is exactly the prefactor's numerator. A cell is therefore N_n / n^2 with N_n
+an integer, and one pass of the recurrence t <- t P(k), acc <- acc Q(k) + t
+from (acc, t) = (1, 1) yields N_n for every n of a scan: no prefactor, no
+per-cell series and no big gcd. ``conjecture_value`` keeps the
+prefactor-times-series form. A non-integral cell would be a counterexample
+and is reported loudly, never swallowed.
 
 State persists as append-only UTF-8 lines, one cell per line:
 ``d n numerator denominator is_integer`` (five decimal integers,
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import HypothesisViolated
 from .exact import factorial
@@ -177,25 +184,40 @@ def scan_conjecture(
 ) -> list[ConjectureCell]:
     """Evaluate every admissible n <= n_max, reusing persisted cells.
 
-    Returns all cells for this d in ascending n order. New cells are
-    appended to the state file as they are produced, so an interrupted
+    Returns all cells for this d in ascending n order. The cells missing
+    from the state come from one sweep up to the largest of them, and each
+    is appended to the state file as the sweep yields it, so an interrupted
     scan resumes where it stopped.
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")
     known = load_cells(state_path) if state_path is not None else {}
-    out: list[ConjectureCell] = []
-    for n in admissible_n(d, n_max):
-        cell = known.get((d, n))
-        if cell is None:
-            value = conjecture_value(d, n)
-            cell = ConjectureCell(d, n, value, value.denominator == 1)
-            if state_path is not None:
-                _append(state_path, cell)
+    ns = admissible_n(d, n_max)
+    cells = {n: known[(d, n)] for n in ns if (d, n) in known}
+    for n, value in _sweep(d, [n for n in ns if n not in cells]):
+        cell = ConjectureCell(d, n, value, value.denominator == 1)
+        if state_path is not None:
+            _append(state_path, cell)
+        cells[n] = cell
+    out = [cells[n] for n in ns]
+    for cell in out:
         if not cell.is_integer:
             log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, cell.value_text())
-        out.append(cell)
     return out
+
+
+def _sweep(d: int, ns: Iterable[int]) -> Iterator[tuple[int, Fraction]]:
+    """Yield (n, value) for each n of the ascending admissible ns, from one
+    pass over k: after the steps k < n-1, acc / n^2 is the cell's value."""
+    acc = t = 1
+    done = 0
+    for n in ns:
+        for k in range(done, n - 1):
+            dk = d * k
+            t *= (dk + 1 - d) * (dk + 1) * (dk + d + 1) ** (d - 2)
+            acc = acc * (dk + d) ** d + t
+        done = n - 1
+        yield n, Fraction(acc, n * n)
 
 
 def _append(state_path: str | Path, cell: ConjectureCell) -> None:

@@ -399,8 +399,8 @@ class TestScanCommand:
         assert cli.main(["scan", "--d", "2", "--n-max", "11", "--state", str(state)]) == 0
         monkeypatch.setattr(
             scan_mod,
-            "conjecture_value",
-            lambda d, n: pytest.fail("persisted cell recomputed"),
+            "_sweep",
+            lambda d, ns: [pytest.fail(f"persisted cell n={n} recomputed") for n in ns],
         )
         assert cli.main(["scan", "--d", "2", "--n-max", "11", "--state", str(state)]) == 0
 
@@ -426,9 +426,53 @@ class TestScanCommand:
             ["2", "3"], ["2", "5"], ["2", "7"]
         ]
 
+    def test_interrupted_sweep_keeps_cells_already_yielded(self, tmp_path, monkeypatch, capsys):
+        # each cell is appended as the sweep yields it, so a failed write
+        # loses only that cell and the ones after it
+        state = tmp_path / "state.txt"
+        for n in (5, 11):
+            scan_mod._append(state, scan_mod.ConjectureCell(2, n, scan_mod.conjecture_value(2, n), True))
+        real_open, real_sweep = open, scan_mod._sweep
+        events = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode == "a":
+                events.append("append")
+                if events.count("append") == 3:
+                    raise OSError(28, "No space left on device")
+            return real_open(file, mode, *args, **kwargs)
+
+        def recording_sweep(d, ns):
+            for n, value in real_sweep(d, ns):
+                events.append(n)
+                yield n, value
+
+        monkeypatch.setattr(scan_mod, "open", failing_open, raising=False)
+        monkeypatch.setattr(scan_mod, "_sweep", recording_sweep)
+        assert cli.main(["scan", "--d", "2", "--n-max", "17", "--state", str(state)]) == 2
+        assert "persisting cell d=2 n=9" in capsys.readouterr().err
+        # each append comes before the sweep yields the next cell
+        assert events == [3, "append", 7, "append", 9, "append"]
+        assert [line.split()[1] for line in state.read_text().splitlines()] == ["5", "11", "3", "7"]
+        monkeypatch.undo()
+
+        asked = []
+
+        def counting(d, ns):
+            ns = list(ns)
+            asked.extend(ns)
+            return real_sweep(d, ns)
+
+        monkeypatch.setattr(scan_mod, "_sweep", counting)
+        assert cli.main(["scan", "--d", "2", "--n-max", "17", "--state", str(state)]) == 0
+        assert asked == [9, 13, 15, 17]
+        cells = scan_mod.load_cells(state)
+        assert sorted(n for _, n in cells) == [3, 5, 7, 9, 11, 13, 15, 17]
+        assert all(cell.value == scan_mod.conjecture_value(2, cell.n) for cell in cells.values())
+
     def test_value_past_int_str_limit(self, monkeypatch, capsys):
         big = 10**5000 + 7  # str() refuses more than 4300 digits
-        monkeypatch.setattr(scan_mod, "conjecture_value", lambda d, n: F(big))
+        monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(n, F(big)) for n in ns])
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--format", "json"]) == 0
         [cell] = json.loads(capsys.readouterr().out)
         assert cell["numerator"] == "1" + "0" * 4999 + "7"

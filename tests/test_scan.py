@@ -6,6 +6,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
@@ -101,18 +102,24 @@ class TestScan:
     def test_resume_skips_persisted_cells(self, tmp_path, monkeypatch):
         state = tmp_path / "cells.txt"
         scan_conjecture(2, 11, state)
-        calls = []
-        real = scan_mod.conjecture_value
+        asked = []
+        real = scan_mod._sweep
 
-        def counting(d, n):
-            calls.append((d, n))
-            return real(d, n)
+        def counting(d, ns):
+            ns = list(ns)
+            asked.extend((d, n) for n in ns)
+            return real(d, ns)
 
-        monkeypatch.setattr(scan_mod, "conjecture_value", counting)
+        monkeypatch.setattr(scan_mod, "_sweep", counting)
         scan_conjecture(2, 11, state)
-        assert calls == []  # everything came from the state file
+        assert asked == []  # everything came from the state file
         scan_conjecture(2, 15, state)
-        assert calls == [(2, 13), (2, 15)]  # only the new cells
+        assert asked == [(2, 13), (2, 15)]  # only the new cells
+
+    def test_sweep_matches_oracle_d5_to_600(self):
+        cells = scan_conjecture(5, 600)
+        assert [c.n for c in cells] == admissible_n(5, 600)
+        assert all(c.value == conjecture_value(5, c.n) and c.is_integer for c in cells)
 
     def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, caplog):
         # plant a fake half-integral cell in the state; the scan must
@@ -129,6 +136,37 @@ class TestScan:
         cell = ConjectureCell(2, 3, F(5), True)
         assert cell.line() == "2 3 5 1 1"
         assert ConjectureCell.from_line("2 3 5 1 1") == cell
+
+
+@lru_cache(maxsize=None)
+def oracle(d, n):
+    return conjecture_value(d, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 200), st.data())
+def test_scan_matches_oracle_from_any_persisted_subset(d, n_max, data):
+    # the persisted cells are a random subset, so the missing n the sweep
+    # must yield are scattered and need not start at the first admissible n
+    ns = admissible_n(d, n_max)
+    kept = data.draw(st.lists(st.booleans(), min_size=len(ns), max_size=len(ns)))
+    present = [n for n, keep in zip(ns, kept) if keep]
+    missing = [n for n, keep in zip(ns, kept) if not keep]
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp) / "cells.txt"
+        state.touch()
+        for n in data.draw(st.permutations(present)):
+            value = oracle(d, n)
+            scan_mod._append(state, ConjectureCell(d, n, value, value.denominator == 1))
+        before = state.read_text(encoding="utf-8")
+        cells = scan_conjecture(d, n_max, state)
+        after = state.read_text(encoding="utf-8")
+    assert [c.n for c in cells] == ns
+    assert all(c.value == oracle(d, c.n) for c in cells)
+    assert after.startswith(before)
+    gained = [ConjectureCell.from_line(line) for line in after[len(before) :].splitlines()]
+    assert [(c.d, c.n) for c in gained] == [(d, n) for n in missing]
+    assert gained == [c for c in cells if c.n in missing]
 
 
 class TestStateValidation:
