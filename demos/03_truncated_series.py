@@ -4,8 +4,10 @@
 The running example is the central series sum of (1/2)_k^2 / k!^2: its
 partial sum through k = 4 is 25609/16384, and mod 25 that rational is 1,
 the smallest instance of the sign congruence the verifiers check at
-scale. Every step of that sum is a 5-unit, so evaluate_mod folds it in
-Z/25 directly and lands on the same residue.
+scale. evaluate_mod folds the same steps in Z/25 and lands on the same
+residue. Through k = 24 the steps are no longer all 5-units (k+1 reaches
+5, 10, ..., 25); the fold then works mod 5^(2+V), with V the power of 5
+in the common denominator, and still matches the exact sum reduced.
 """
 
 from fractions import Fraction
@@ -41,13 +43,21 @@ if folded != reduced:
     print("MISMATCH: the fold and the exact sum disagree")
 print(f"Predicted sign (-1)^((p-1)/2) = {(-1) ** ((p - 1) // 2)}")
 
+longer = series([F(1, 2), F(1, 2)], [1], 1, p * p - 1)
+folded = evaluate_mod(longer, ctx)
+reduced = reduce_mod(evaluate_exact(longer), ctx)
+print(f"\nThrough k = {p * p - 1}, where k+1 meets multiples of {p}:")
+print(f"  folded mod {ctx.modulus}: {folded.value}; exact sum reduced: {reduced.value}")
+if folded != reduced:
+    print("MISMATCH: the fold and the exact sum disagree")
+
 print()
 print("Weighted sums use an affine weight slope*k + intercept.")
 print("The weight k - (p^2-1)/4 = k - 6 produces a numerator divisible")
 print("by p^3, which is the heart of the mod-p^(2r+1) vanishing result:")
 weighted = affine_weighted_sum(AffineWeight(1, -6), spec)
 print(f"  weighted sum = {weighted}")
-print(f"  numerator factors: {weighted.numerator} = -2 * 5^3 * 541")
+print(f"  numerator factors: {weighted.numerator} = -5^3 * 541")
 print(f"  residue mod 5^3: {reduce_mod(weighted, PrimePower(5, 3)).value}")
 
 print()

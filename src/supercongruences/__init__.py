@@ -24,6 +24,7 @@ from .hypergeom import (
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,
+    harmonic_weighted_mod,
     harmonic_weighted_sum,
     series,
     term,

@@ -14,15 +14,16 @@ the steps pairwise up a balanced tree and builds a single ``Fraction``
 (one gcd) at the end; ``terms`` yields the terms one by one from the same
 integer ratios.
 
-A sum mod p^k folds the same steps in Z/p^k instead, over one common
-denominator that is inverted once at the end, when every step
-denominator Q(k) D(k) for k < n and the starting weight's denominator are
-prime to p. Each step matrix is then p-integral, so their product is, and
-the folded residue is the exact sum reduced. The rule is checked before
-any step runs, from the parameters alone; when it fails (a lower
-parameter, k+1 or a weight step reaches a multiple of p below n) the sum
-is taken exactly and reduced afterwards, because its terms need not be
-p-integral even where the sum is.
+A sum mod p^k folds the same steps instead, over one common denominator
+e (the starting weight's denominator times every Q(k) D(k), k < n) that
+is divided out once at the end. V = v_p(e) comes in closed form from the
+linear forms of the parameters, and the fold runs mod p^(k+V): the sum
+(acc + v)/e is p-integral exactly when p^V divides acc + v, and its
+residue is then (acc + v)/p^V times the inverse of the unit e/p^V. That
+is O(n) steps on numbers of about (k+V) log2 p bits. Where V is small
+next to n this beats the exact tree by far; at V near n/2 (the central
+sum through p^6 - 1 at p = 5) the two cost about the same. The exact tree
+serves the exact sums, and is the oracle the tests hold the fold to.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from itertools import repeat
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import ZeroLowerPochhammer
-# shifted_harmonic is unused here but stays bound: bench/tracing.py wraps it by name
+from .errors import NonIntegralDenominator, ZeroLowerPochhammer
+# shifted_harmonic and reduce_mod are unused here but stay bound: bench/tracing.py wraps them by name
 from .exact import RationalLike, check_harmonic_shift, shifted_harmonic, zero_shift
-from .padic import PrimePower, Residue, reduce_mod
+from .padic import PrimePower, Residue, reduce_mod, valuation
 
 
 @dataclass(frozen=True)
@@ -184,32 +185,25 @@ def _weighted_sum(
     return Fraction((b + c) * wd + (a + d) * wn, e * wd)
 
 
-def _p_integral_steps(
-    spec: SeriesSpec,
-    p: int,
-    w0: Fraction,
-    step_den: int = 1,
-    step_forms: Sequence[tuple[int, int]] = (),
-) -> bool:
-    """Whether p divides neither w0's denominator nor any step denominator
-    Q(k) D(k) of ``_weighted_sum`` for k < n, decided per linear form
-    rather than per step: when p does not divide v, u + v k for k >= 0 is
-    first a multiple of p at k = -u/v mod p; when it does, u + v k ≡ u
-    (mod p) for every k."""
-    if w0.denominator % p == 0:
-        return False
-    if spec.n == 0:
-        return True
+def _steps_valuation(
+    spec: SeriesSpec, p: int, w0: Fraction, step_den: int = 1, step_forms: Sequence[tuple[int, int]] = ()
+) -> int:
+    """v_p of w0's denominator times every step denominator Q(k) D(k) of
+    ``_weighted_sum`` for k < n, from the forms rather than the steps. A
+    constant factor c of each step adds n v_p(c). A linear form u + v k
+    (gcd(u, v) = 1, never 0 for k < n) has no multiple of p when p | v;
+    otherwise the multiples of p^j are the k < n in the class root_j =
+    -u/v mod p^j, and root_j grows with j until it passes n."""
+    n = spec.n
     upper, lower = _forms(spec)
-    if spec.z.denominator * step_den * prod(den for _, den in upper) % p == 0:
-        return False
+    const = spec.z.denominator * step_den * prod(den for _, den in upper)
+    total = valuation(w0.denominator, p) + n * valuation(const, p)
     for u, v in (*lower, *step_forms):
-        if v % p == 0:
-            if u % p == 0:
-                return False
-        elif -u * pow(v, -1, p) % p < spec.n:
-            return False
-    return True
+        q = p
+        while v % p and (root := -u * pow(v, -1, q) % q) < n:
+            total += (n - 1 - root) // q + 1
+            q *= p
+    return total
 
 
 def _weighted_mod(
@@ -219,24 +213,29 @@ def _weighted_mod(
     step_num: int = 0,
     step_den: int = 1,
     step_forms: Sequence[tuple[int, int]] = (),
-) -> Residue | None:
+) -> Residue:
     """``_weighted_sum`` of the same arguments mod p^k, folded step by step
     over one common denominator e: (t, v, acc) / e = (t_k, w_k t_k,
-    sum_{j<k} w_j t_j) mod p^k. None when ``_p_integral_steps`` fails,
-    since e need not then be a unit mod p^k."""
-    if not _p_integral_steps(spec, ctx.p, w0, step_den, step_forms):
-        return None
-    m = ctx.modulus
+    sum_{j<k} w_j t_j), mod p^(k+V) for V = v_p(e). NonIntegralDenominator
+    when p^V does not divide acc + v, i.e. the sum is not p-integral."""
+    p = ctx.p
+    big_v = _steps_valuation(spec, p, w0, step_den, step_forms)
+    scale = p**big_v
+    m = ctx.modulus * scale
     ps, qs = _ratios(spec)
     ds = _linear_products(step_den, step_forms, spec.n)
     t, v, acc, e = w0.denominator, w0.numerator, 0, w0.denominator
-    for p, q, dk in zip(ps, qs, ds):
-        pd, qd = p * dk, q * dk
+    for num, den, dk in zip(ps, qs, ds):
+        pd, qd = num * dk, den * dk
         acc = (acc + v) * qd % m
-        v = (v * pd + t * p * step_num) % m
+        v = (v * pd + t * num * step_num) % m
         t = t * pd % m
         e = e * qd % m
-    return Residue((acc + v) * pow(e, -1, m), ctx)
+    total = (acc + v) % m
+    if total % scale:
+        value = valuation(total, p) - big_v
+        raise NonIntegralDenominator(f"sum is not p-integral at p={p}: v_p(sum) = {value}")
+    return Residue(total // scale * pow(e // scale, -1, ctx.modulus), ctx)
 
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
@@ -245,16 +244,10 @@ def evaluate_exact(spec: SeriesSpec) -> Fraction:
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """The truncated sum mod p^k: folded in Z/p^k when every step is a
-    p-unit, else the exact sum reduced. Both give the same residue
-    whenever the fold applies.
-
-    Raises NonIntegralDenominator when the exact value is not p-integral,
-    which means the congruence being probed is ill-posed for these
-    parameters.
-    """
-    value = _weighted_mod(spec, ctx, Fraction(1))
-    return reduce_mod(evaluate_exact(spec), ctx) if value is None else value
+    """The truncated sum mod p^k, folded. NonIntegralDenominator when the
+    exact value is not p-integral: the congruence being probed is then
+    ill-posed for these parameters."""
+    return _weighted_mod(spec, ctx, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -278,23 +271,31 @@ def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
 
 
 def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """``affine_weighted_sum`` mod p^k, by the same rule as ``evaluate_mod``;
+    """``affine_weighted_sum`` mod p^k, folded as in ``evaluate_mod``;
     NonIntegralDenominator when the exact value is not p-integral."""
-    value = _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
-    return reduce_mod(affine_weighted_sum(w, spec), ctx) if value is None else value
+    return _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
 
 
-def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> Fraction:
-    """Exact sum of t_k * (sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j)).
-
-    The weight steps by 1/(c1+k) - 1/(c2+k) = (v1 u2 - v2 u1) /
-    ((u1 + v1 k)(u2 + v2 k)) for c = u/v; a zero summand denominator
-    within range is rejected up front.
-    """
+def _harmonic_steps(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> tuple:
+    """The (w0, step_num, step_den, step_forms) of the harmonic difference
+    sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j): it steps by 1/(c1+k) -
+    1/(c2+k) = (v1 u2 - v2 u1) / ((u1 + v1 k)(u2 + v2 k)) for c = u/v; a
+    zero summand denominator within range is rejected up front."""
     c1 = Fraction(c1)
     c2 = Fraction(c2)
     check_harmonic_shift(c1, spec.n)
     check_harmonic_shift(c2, spec.n)
     u1, v1 = c1.numerator, c1.denominator
     u2, v2 = c2.numerator, c2.denominator
-    return _weighted_sum(spec, Fraction(0), v1 * u2 - v2 * u1, 1, ((u1, v1), (u2, v2)))
+    return Fraction(0), v1 * u2 - v2 * u1, 1, ((u1, v1), (u2, v2))
+
+
+def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> Fraction:
+    """Exact sum of t_k * (sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j))."""
+    return _weighted_sum(spec, *_harmonic_steps(spec, c1, c2))
+
+
+def harmonic_weighted_mod(spec: SeriesSpec, c1: RationalLike, c2: RationalLike, ctx: PrimePower) -> Residue:
+    """``harmonic_weighted_sum`` mod p^k, folded as in ``evaluate_mod``;
+    NonIntegralDenominator when the exact value is not p-integral."""
+    return _weighted_mod(spec, ctx, *_harmonic_steps(spec, c1, c2))

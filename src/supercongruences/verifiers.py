@@ -53,12 +53,12 @@ from .hypergeom import (
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,
-    harmonic_weighted_sum,
+    harmonic_weighted_mod,
     series,
     terms,
 )
-# term is unused here but stays bound: bench/tracing.py wraps it by name
-from .hypergeom import term
+# term and harmonic_weighted_sum are unused here but stay bound: bench/tracing.py wraps them by name
+from .hypergeom import harmonic_weighted_sum, term
 from .padic import GammaContext, PrimePower, Residue, least_nonneg_residue, reduce_mod, valuation
 from .primes import is_prime
 
@@ -375,13 +375,13 @@ def verify_guo_central(p: int, r: int) -> tuple:
     return lhs, rhs, str(ctx)
 
 
-def _mod_p(lhs_exact: Fraction, rhs_exact: Fraction, p: int) -> tuple:
-    """Both exact sides reduced mod p. A non-p-integral side is surfaced as
-    a failing report with a ``finding:`` note rather than an exception (it
-    would contradict the integrality the closed forms assume)."""
+def _harmonic_mod_p(spec: SeriesSpec, c1: int, c2: int, rhs_exact: Fraction, p: int) -> tuple:
+    """The harmonic-difference sum folded mod p and the exact rhs reduced. A
+    non-p-integral side is surfaced as a failing report with a ``finding:``
+    note (it would contradict the integrality the closed forms assume)."""
     ctx = PrimePower(p, 1)
     try:
-        return reduce_mod(lhs_exact, ctx), reduce_mod(rhs_exact, ctx), str(ctx)
+        return harmonic_weighted_mod(spec, c1, c2, ctx), reduce_mod(rhs_exact, ctx), str(ctx)
     except NonIntegralDenominator as exc:
         return None, None, str(ctx), f"finding: {exc}"
 
@@ -392,11 +392,10 @@ def verify_harmonic_even(d: int, p: int) -> tuple:
     m = (p+1)/d, against (p-1)!/((m-2)! m!^{d-1}) (1/m + 1/(m-1)) mod p."""
     m = (p + 1) // d
     spec = series([m - 1] + [m + 1] * (d - 1), [1] * (d - 1), 1, p - 1)
-    lhs_exact = harmonic_weighted_sum(spec, m - 1, m + 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 2) * factorial(m) ** (d - 1)) * (
         Fraction(1, m) + Fraction(1, m - 1)
     )
-    return _mod_p(lhs_exact, rhs_exact, p)
+    return _harmonic_mod_p(spec, m - 1, m + 1, rhs_exact, p)
 
 
 @_kind("harmonic-odd", _require_guo_odd)
@@ -405,9 +404,8 @@ def verify_harmonic_odd(d: int, p: int) -> tuple:
     m = (p+1)/d, against (p-1)!/((m-1)! m!^{d-1}) mod p."""
     m = (p + 1) // d
     spec = series([m, m] + [m + 1] * (d - 2), [1] * (d - 1), 1, p - 1)
-    lhs_exact = harmonic_weighted_sum(spec, m, m + 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 1) * factorial(m) ** (d - 1))
-    return _mod_p(lhs_exact, rhs_exact, p)
+    return _harmonic_mod_p(spec, m, m + 1, rhs_exact, p)
 
 
 def _require_four_k_plus_one(n: int) -> None:

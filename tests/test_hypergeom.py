@@ -12,12 +12,13 @@ from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
 from supercongruences.hypergeom import (
     AffineWeight,
-    _p_integral_steps,
+    _steps_valuation,
     _weighted_mod,
     affine_weighted_mod,
     affine_weighted_sum,
     evaluate_exact,
     evaluate_mod,
+    harmonic_weighted_mod,
     harmonic_weighted_sum,
     series,
     term,
@@ -326,16 +327,33 @@ def outcome(compute):
         return NonIntegralDenominator
 
 
+def central_series(n):
+    return series([F(1, 2), F(1, 2)], [1], 1, n)
+
+
+def unit_fractions(p):
+    """Rationals u/v with p dividing neither u nor v."""
+    return st.builds(F, st.integers(-12, 12).filter(lambda u: u % p), st.integers(1, 6).filter(lambda v: v % p))
+
+
 @st.composite
 def mod_cases(draw):
-    """(spec, ctx, w) with odd p <= 47, k <= 4 and n <= 60. Half the draws
-    keep every step a p-unit: n < p, denominators prime to p, and each
-    lower parameter u/v first meets u + v k ≡ 0 (mod p) at some k >= n.
-    The rest draw denominators that are p now and then and n up to 60, so
-    the fold's rule mostly fails."""
-    p = draw(st.sampled_from(SMALL_PRIMES))
-    r = draw(st.integers(0, 3))
-    if draw(st.booleans()):
+    """(spec, ctx, w) with odd p <= 47 and k <= 4, in three shapes.
+    "units" keeps every step a p-unit: n < p, denominators prime to p, and
+    each lower parameter u/v first meets u + v k ≡ 0 (mod p) at some
+    k >= n. "any" draws denominators that are p now and then and n up to
+    60, so that many sums are not p-integral. "sun" is 2F1(a, 1-a; 1 | 1)
+    through k = p^r - 1 for a unit a, with unit weights: p-integral sums
+    whose steps carry p (V > 0), the central sum among them."""
+    shape = draw(st.sampled_from(("units", "any", "sun")))
+    p = draw(st.sampled_from(SMALL_PRIMES[:5] if shape == "sun" else SMALL_PRIMES))
+    ctx = PrimePower(p, draw(st.integers(1, 4)))
+    if shape == "sun":
+        n = p ** draw(st.integers(1, 3 if p <= 5 else 2)) - 1
+        a = draw(unit_fractions(p).filter(lambda a: (1 - a).numerator % p))
+        weights = unit_fractions(p)
+        return series([a, 1 - a], [1], 1, n), ctx, AffineWeight(draw(weights), draw(weights))
+    if shape == "units":
         n = draw(st.integers(0, p - 1))
         dens = st.sampled_from([v for v in range(1, 7) if v % p])
         lower_values = st.builds(
@@ -348,22 +366,23 @@ def mod_cases(draw):
             lambda b: not (b.denominator == 1 and -n < b <= 0)
         )
     values = st.builds(F, st.integers(-12, 12), dens)
+    r = draw(st.integers(0, 3))
     upper = draw(st.lists(values, min_size=r + 1, max_size=r + 1))
     lower = draw(st.lists(lower_values, min_size=r, max_size=r))
     spec = series(upper, lower, draw(values), n)
-    ctx = PrimePower(p, draw(st.integers(1, 4)))
     return spec, ctx, AffineWeight(draw(values), draw(values))
 
 
 class TestFoldAgainstExact:
+    """The fold and exact-then-reduce agree on every draw: the same residue,
+    or NonIntegralDenominator from both."""
+
     @settings(max_examples=200, deadline=None)
     @given(case=mod_cases())
     def test_plain(self, case):
         spec, ctx, _ = case
         expected = outcome(lambda: reduce_mod(evaluate_exact(spec), ctx))
-        folded = _weighted_mod(spec, ctx, F(1))
-        if folded is not None:
-            assert folded == expected
+        assert outcome(lambda: _weighted_mod(spec, ctx, F(1))) == expected
         assert outcome(lambda: evaluate_mod(spec, ctx)) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -371,23 +390,34 @@ class TestFoldAgainstExact:
     def test_affine(self, case):
         spec, ctx, w = case
         expected = outcome(lambda: reduce_mod(affine_weighted_sum(w, spec), ctx))
-        folded = _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
-        if folded is not None:
-            assert folded == expected
         assert outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(case=mod_cases(), data=st.data())
     def test_harmonic_steps(self, case, data):
-        # the weight steps of harmonic_weighted_sum, folded wherever the rule holds
         spec, ctx, _ = case
         c1 = data.draw(clear_of(spec.n))
         c2 = data.draw(clear_of(spec.n))
-        forms = ((c1.numerator, c1.denominator), (c2.numerator, c2.denominator))
-        step_num = c1.denominator * c2.numerator - c2.denominator * c1.numerator
-        folded = _weighted_mod(spec, ctx, F(0), step_num, 1, forms)
-        if folded is not None:
-            assert folded == reduce_mod(harmonic_weighted_sum(spec, c1, c2), ctx)
+        expected = outcome(lambda: reduce_mod(harmonic_weighted_sum(spec, c1, c2), ctx))
+        assert outcome(lambda: harmonic_weighted_mod(spec, c1, c2, ctx)) == expected
+
+    def test_p_integral_with_steps_carrying_p(self):
+        # the central sum through k = p^2 - 1, and guo-central's weight on it
+        for p in (3, 5, 7, 13):
+            spec = central_series(p * p - 1)
+            assert _steps_valuation(spec, p, F(1)) > 0
+            for k in (1, 2, 5):
+                ctx = PrimePower(p, k)
+                assert evaluate_mod(spec, ctx) == reduce_mod(evaluate_exact(spec), ctx)
+                w = AffineWeight(1, -F(p**4 - 1, 4))
+                assert affine_weighted_mod(w, spec, ctx) == reduce_mod(affine_weighted_sum(w, spec), ctx)
+
+    def test_not_p_integral_names_the_valuation(self):
+        # sum_{j<k} 1/(1/2 + j) takes in 1/(3/2) at k = 2 and 1/(9/2) at k = 5
+        spec = central_series(9)
+        with pytest.raises(NonIntegralDenominator, match=r"p=3: v_p\(sum\) = -2"):
+            harmonic_weighted_mod(spec, F(1, 2), 1, PrimePower(3, 2))
+        assert valuation(harmonic_weighted_sum(spec, F(1, 2), 1), 3) == -2
 
     def test_truncation_zero(self):
         # no steps: p in z and the upper denominators does not matter, w0 does
@@ -405,32 +435,31 @@ class TestFoldAgainstExact:
         w = AffineWeight(F(1, 2), -1)
         assert _weighted_mod(spec, ctx, F(1)) == reduce_mod(evaluate_exact(spec), ctx)
         assert _weighted_mod(spec, ctx, w.intercept, 1, 2) == reduce_mod(affine_weighted_sum(w, spec), ctx)
-        # one step further and 1/3 + k reaches 31/3: the exact path answers,
-        # with the same sum since the added term is 0
+        # one step further and 1/3 + k reaches 31/3: the same sum, since the
+        # added term is 0
         longer = series([-3, F(1, 2)], [F(1, 3)], 2, 11)
-        assert _weighted_mod(longer, ctx, F(1)) is None
         assert evaluate_mod(longer, ctx) == reduce_mod(evaluate_exact(spec), ctx)
 
 
-def brute_force_rule(spec, p, w0, step_den, step_forms):
-    """w0 and every step denominator Q(k) D(k), k < n, prime to p, each
-    built from its definition."""
+def brute_force_valuation(spec, p, w0, step_den, step_forms):
+    """v_p of w0's denominator times every step denominator Q(k) D(k),
+    k < n, each built from its definition."""
     const = spec.z.denominator * prod(a.denominator for a in spec.upper) * step_den
+    e = w0.denominator
     for k in range(spec.n):
-        q = const * (k + 1) * prod(b.numerator + b.denominator * k for b in spec.lower)
-        d = prod(u + v * k for u, v in step_forms)
-        if q * d % p == 0:
-            return False
-    return w0.denominator % p != 0
+        e *= const * (k + 1) * prod(b.numerator + b.denominator * k for b in spec.lower)
+        e *= prod(u + v * k for u, v in step_forms)
+    return valuation(e, p)
 
 
 @st.composite
-def rule_cases(draw):
+def valuation_cases(draw):
     """(spec, p, w0, step_den, step_forms). Each draw picks up to two of z,
     the upper and lower parameters, w0, step_den and the step forms whose
-    denominators (slopes v, for the forms) may be multiples of p."""
+    denominators may be multiples of p. The forms are (numerator,
+    denominator) of a Fraction, so coprime, and never 0 below n."""
     p = draw(st.sampled_from(SMALL_PRIMES))
-    n = draw(st.one_of(st.integers(0, p), st.integers(0, 60)))
+    n = draw(st.one_of(st.integers(0, p), st.integers(0, 200)))
     names = ("z", "upper", "lower", "w0", "step_den", "forms")
     with_p = draw(st.sets(st.sampled_from(names), max_size=2))
 
@@ -440,38 +469,48 @@ def rule_cases(draw):
         return st.integers(1, 6)
 
     def values(name):
-        return st.builds(F, st.integers(-3 * p, 3 * p), dens(name))
+        return st.builds(F, st.integers(-3 * p * p, 3 * p * p), dens(name))
+
+    def clear(name):
+        return values(name).filter(lambda b: not (b.denominator == 1 and -n < b <= 0))
 
     r = draw(st.integers(0, 3))
     upper = draw(st.lists(values("upper"), min_size=r + 1, max_size=r + 1))
-    lower_values = values("lower").filter(lambda b: not (b.denominator == 1 and -n < b <= 0))
-    lower = draw(st.lists(lower_values, min_size=r, max_size=r))
+    lower = draw(st.lists(clear("lower"), min_size=r, max_size=r))
     spec = series(upper, lower, draw(values("z")), n)
-    forms = draw(st.lists(st.tuples(st.integers(-3 * p, 3 * p), dens("forms")), max_size=2))
+    forms = [(c.numerator, c.denominator) for c in draw(st.lists(clear("forms"), max_size=2))]
     return spec, p, draw(values("w0")), draw(dens("step_den")), forms
 
 
 class TestFoldRule:
+    """The fold's one rule, precision k + V: V from ``_steps_valuation``
+    against the valuation of the product it stands for."""
+
     @settings(max_examples=300, deadline=None)
-    @given(case=rule_cases())
+    @given(case=valuation_cases())
     def test_matches_brute_force(self, case):
         spec, p, w0, step_den, forms = case
-        assert _p_integral_steps(spec, p, w0, step_den, forms) == brute_force_rule(spec, p, w0, step_den, forms)
+        assert _steps_valuation(spec, p, w0, step_den, forms) == brute_force_valuation(spec, p, w0, step_den, forms)
 
     def test_each_denominator_carrying_p(self):
         # at p = 7 and n = 3: 1/2 + k first reaches 7/2 at k = 3
         spec = series([F(1, 2), 1], [F(1, 2)], F(1, 3), 3)
-        assert _p_integral_steps(spec, 7, F(1), 5, [(1, 2)])
-        assert not _p_integral_steps(series([F(1, 7), 1], [F(1, 2)], F(1, 3), 3), 7, F(1))
-        assert not _p_integral_steps(series([F(1, 2), 1], [F(1, 2)], F(1, 7), 3), 7, F(1))
-        assert not _p_integral_steps(spec, 7, F(1, 7))
-        assert not _p_integral_steps(spec, 7, F(1), 14)
-        assert not _p_integral_steps(spec, 7, F(1), 1, [(1, 3)])  # 1 + 3*2 = 7
+        assert _steps_valuation(spec, 7, F(1), 5, [(1, 2)]) == 0
+        assert _steps_valuation(series([F(1, 7), 1], [F(1, 2)], F(1, 3), 3), 7, F(1)) == 3
+        assert _steps_valuation(series([F(1, 2), 1], [F(1, 2)], F(1, 49), 3), 7, F(1)) == 6
+        assert _steps_valuation(spec, 7, F(1, 7)) == 1
+        assert _steps_valuation(spec, 7, F(1), 14) == 3
+        assert _steps_valuation(spec, 7, F(1), 1, [(1, 3)]) == 1  # 1 + 3*2 = 7
         # with no steps only w0 counts
-        assert _p_integral_steps(series([F(1, 7), 1], [F(3, 2)], F(1, 7), 0), 7, F(1), 7)
+        assert _steps_valuation(series([F(1, 7), 1], [F(3, 2)], F(1, 7), 0), 7, F(1, 7), 7) == 1
+
+    def test_higher_powers_of_p(self):
+        # (k+1)^2 for k < 49 gives 49!^2, and v_7(49!) = 7 + 1
+        assert _steps_valuation(central_series(49), 7, F(1)) == 16
+        # k + 1 for k < 26 gives 26! (v_7 = 3); -1 + 2k meets 7, 21, 35 and 7^2
+        assert _steps_valuation(series([1], [], 1, 26), 7, F(1), 1, [(-1, 2)]) == 3 + 5
 
     def test_form_with_p_dividing_v(self):
         spec = series([F(1, 2), 1], [F(3, 7)], 1, 3)  # 3 + 7k is never 0 mod 7
-        assert _p_integral_steps(spec, 7, F(1))
-        assert not _p_integral_steps(spec, 7, F(1), 1, [(14, 7)])
-        assert _p_integral_steps(spec, 7, F(1), 1, [(15, 7)])
+        assert _steps_valuation(spec, 7, F(1)) == 0
+        assert _steps_valuation(spec, 7, F(1), 1, [(15, 7)]) == 0

@@ -328,8 +328,8 @@ class ExactPathTaken(Exception):
 
 
 class TestModularPath:
-    """Which kinds take their series sums mod p^k by the fold, and which
-    still need the exact tree: the tree is made to raise."""
+    """Every modular kind takes its series sums mod p^k by the fold: the
+    exact tree is made to raise."""
 
     @pytest.fixture
     def no_exact_tree(self, monkeypatch):
@@ -339,27 +339,20 @@ class TestModularPath:
         monkeypatch.setattr(hypergeom_mod, "evaluate_exact", refuse)
         monkeypatch.setattr(hypergeom_mod, "_weighted_sum", refuse)
 
-    FOLDED = ("dflst", "guo-linear", "guo-even", "guo-odd", "combined", "rv", "sun")
+    FOLDED = (
+        "rv", "sun", "dflst", "guo-linear", "guo-even", "guo-odd", "guo-central",
+        "harmonic-even", "harmonic-odd", "liu", "combined",
+    )
+
+    def test_folded_are_the_modular_kinds(self):
+        exact = {"four-k-plus-one", "three-series", "km-deformed"}
+        assert set(self.FOLDED) == set(CASE_KINDS) - exact
 
     @pytest.mark.parametrize("kind", FOLDED)
     def test_default_grid_needs_no_exact_tree(self, kind, no_exact_tree):
         cases = [case for case in enumerate_cases(SuiteConfig()) if case.kind == kind]
         assert cases
         assert all(run_case(case).verdict for case in cases)
-
-    @pytest.mark.parametrize(
-        "case",
-        [
-            Case("liu", p=5, r=2),
-            Case("guo-central", p=5, r=2),
-            Case("harmonic-even", d=4, p=7),
-            Case("harmonic-odd", d=3, p=5),
-        ],
-        ids=lambda case: case.kind,
-    )
-    def test_exact_path_kept_where_the_rule_fails(self, case, no_exact_tree):
-        with pytest.raises(ExactPathTaken):
-            run_case(case)
 
 
 # one admissible case per kind, in CASE_KINDS order, with the direct call
@@ -446,10 +439,15 @@ class TestReportsAndDispatch:
         assert type(deformed.x) is F and type(deformed.y) is F
 
     def test_non_p_integral_side_is_a_finding(self, monkeypatch):
-        monkeypatch.setattr(verifiers_mod, "harmonic_weighted_sum", lambda spec, lo, hi: F(1, 7))
+        # with the first shift at 1/2 the weights take in 1/(1/2 + 3) = 2/7
+        # and the sum is not 7-integral; the note is the fold's own message
+        real = verifiers_mod.harmonic_weighted_mod
+        monkeypatch.setattr(
+            verifiers_mod, "harmonic_weighted_mod", lambda spec, c1, c2, ctx: real(spec, F(1, 2), c2, ctx)
+        )
         report = verify_harmonic_even(4, 7)
         assert not report.verdict and report.lhs is None and report.rhs is None
-        assert report.note.startswith("finding: ")
+        assert report.note == "finding: sum is not p-integral at p=7: v_p(sum) = -1"
 
     def test_termwise_failure_fails_the_report(self, monkeypatch):
         # squaring every term breaks the linear relation termwise; the sums
