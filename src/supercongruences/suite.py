@@ -13,15 +13,16 @@ import io
 import json
 import os
 import random
+import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import CongruenceError
+from .errors import CongruenceError, HypothesisViolated
 # primes_in_class is unused here but stays bound: bench/tracing.py wraps it by name
 from .primes import odd_primes_up_to, primes_in_class
-from .verifiers import Case, Report, admissible, run_case
+from .verifiers import KINDS, Case, Report, admissible, run_case
 
 DEFAULT_SUN_ALPHAS = (
     Fraction(1, 2),
@@ -87,33 +88,58 @@ def _deformed_points(cfg: SuiteConfig) -> list[tuple[Fraction, Fraction]]:
     return points[: cfg.deformed_samples]
 
 
-def _candidates(cfg: SuiteConfig) -> Iterator[Case]:
+def _candidates(cfg: SuiteConfig) -> Iterator[tuple[str, dict]]:
     """The grid of every kind's parameters within the configured bounds,
-    before the hypotheses are applied."""
+    before the hypotheses are applied, as (kind, parameters) pairs."""
     for p in odd_primes_up_to(cfg.p_max):
-        yield Case("rv", p=p)
+        yield "rv", dict(p=p)
         for d in cfg.d_set:
-            yield from (Case("dflst", d=d, p=p, strength=s) for s in range(2, cfg.max_strength + 1))
-            yield from (Case(k, d=d, p=p) for k in ("guo-linear", "guo-even", "guo-odd", "combined"))
+            yield from (("dflst", dict(d=d, p=p, strength=s)) for s in range(2, cfg.max_strength + 1))
+            yield from ((k, dict(d=d, p=p)) for k in ("guo-linear", "guo-even", "guo-odd", "combined"))
             if p <= cfg.harmonic_p_max:
-                yield from (Case(k, d=d, p=p) for k in ("harmonic-even", "harmonic-odd"))
+                yield from ((k, dict(d=d, p=p)) for k in ("harmonic-even", "harmonic-odd"))
         for r in range(1, cfg.r_max + 1):
             if p**r - 1 <= cfg.p_max:
-                yield from (Case(k, p=p, r=r) for k in ("guo-central", "liu"))
+                yield from ((k, dict(p=p, r=r)) for k in ("guo-central", "liu"))
     for alpha in cfg.sun_alphas:
-        yield from (Case("sun", p=p, alpha=alpha) for p in odd_primes_up_to(cfg.sun_p_max))
-    yield from (Case("four-k-plus-one", n=n) for n in range(1, cfg.identity_n_max + 1))
+        yield from (("sun", dict(p=p, alpha=alpha)) for p in odd_primes_up_to(cfg.sun_p_max))
+    yield from (("four-k-plus-one", dict(n=n)) for n in range(1, cfg.identity_n_max + 1))
     for d in cfg.d_set:
-        yield from (Case("three-series", d=d, n=t) for t in range(cfg.three_series_trunc + 1))
+        yield from (("three-series", dict(d=d, n=t)) for t in range(cfg.three_series_trunc + 1))
     points = _deformed_points(cfg)
     for d, p in cfg.deformed_pairs:
-        yield from (Case("km-deformed", d=d, p=p, x=x, y=y) for x, y in points)
+        yield from (("km-deformed", dict(d=d, p=p, x=x, y=y)) for x, y in points)
+
+
+def _holds(kind: str, params: dict) -> bool:
+    """Whether the registry's hypothesis check for ``kind`` accepts ``params``."""
+    spec = KINDS[kind]
+    try:
+        spec.check(**{**spec.defaults, **params})
+    except HypothesisViolated:
+        return False
+    return True
 
 
 def enumerate_cases(cfg: SuiteConfig) -> list[Case]:
     """Every admissible case within the configured bounds, sorted by
-    case id then parameters."""
-    return sorted((c for c in _candidates(cfg) if admissible(c) is None), key=Case.sort_key)
+    case id then parameters. Only candidates that meet their kind's
+    hypotheses become Cases."""
+    cases = [Case(kind, **params) for kind, params in _candidates(cfg) if _holds(kind, params)]
+    return sorted(cases, key=Case.sort_key)
+
+
+# Pool tasks per worker: enough for the load to balance, few enough that
+# pickling and dispatch stay small next to the checks (a median 0.2 ms each).
+_BATCHES_PER_WORKER = 8
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_suite(
@@ -122,17 +148,23 @@ def run_suite(
     """Run every enumerated case; reports come back sorted like the cases.
 
     With jobs > 1 they run in a pool of at most jobs workers, capped by the
-    case and CPU counts. Either way ``progress`` sees each report in case
-    order as soon as it and every earlier case are done.
+    case count and by the CPUs this process may use. The pool gets the case
+    list cut into contiguous batches, about _BATCHES_PER_WORKER per worker,
+    so the reports arrive one batch at a time. Either way ``progress`` sees
+    each report in case order as soon as it and every earlier case are done.
+    If a case raises, ``progress`` still sees every report that finished
+    before it, and then the exception propagates.
     """
     cases = enumerate_cases(cfg)
     with ExitStack() as stack:
         if cfg.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = max(1, min(cfg.jobs, len(cases), os.cpu_count() or 1))
+            workers = max(1, min(cfg.jobs, len(cases), _usable_cpus()))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_run_one, ((c,) for c in cases), chunksize=4)
+            size = max(1, -(-len(cases) // (workers * _BATCHES_PER_WORKER)))
+            batches = [cases[i : i + size] for i in range(0, len(cases), size)]
+            results = _unbatched(pool.map(_run_batch, batches))
         else:
             results = map(run_case, cases)
         reports = []
@@ -144,9 +176,38 @@ def run_suite(
 
 
 def _run_one(args: tuple[Case, ...]) -> Report:
-    """Pool entry point: the benchmark rebinds it by name, and its tests
-    pass a ``(case, None)`` pair, so it takes a tuple led by the case."""
+    """Run one case in a pool worker. The benchmark rebinds it by name, and
+    its tests pass a ``(case, None)`` pair, so it takes a tuple led by the
+    case."""
     return run_case(args[0])
+
+
+def _run_batch(cases: list[Case]) -> tuple[list[Report], Exception | None]:
+    """Pool task: each case through ``_run_one``, looked up at each call so
+    that a rebinding in the parent reaches forked workers. Returns the
+    reports and None, or, when a case raises, the reports of the cases
+    before it and the exception, whose traceback text rides along as a note
+    where the exception supports notes."""
+    reports = []
+    for case in cases:
+        try:
+            reports.append(_run_one((case,)))
+        except Exception as exc:
+            if hasattr(exc, "add_note"):
+                exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+            return reports, exc
+    return reports, None
+
+
+def _unbatched(batches: Iterator[tuple[list[Report], Exception | None]]) -> Iterator[Report]:
+    """The reports of the pool's batches, in order. After the finished
+    reports of a batch whose case raised, the batches not yet started are
+    cancelled and the exception is raised."""
+    for reports, exc in batches:
+        yield from reports
+        if exc is not None:
+            batches.close()
+            raise exc
 
 
 def all_pass(reports: Iterable[Report]) -> bool:

@@ -35,9 +35,11 @@ TINY = SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, 
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size it was
-    asked for and maps in-process, so no worker process ever starts."""
+    asked for and the tasks each ``map`` was given, and maps in-process,
+    so no worker process ever starts."""
 
     sizes: list[int] = []
+    maps: list[tuple] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -49,7 +51,18 @@ class RecordingPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        tasks = list(iterable)
+        self.maps.append((fn, tasks))
+        # a generator, like ProcessPoolExecutor.map's result
+        return (fn(task) for task in tasks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "maps", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
 
 
 class TestSuiteEnumeration:
@@ -189,15 +202,76 @@ class TestSuiteRun:
         # TINY has 22 cases
         [(10**6, 64, 22), (10**6, 2, 2), (3, 8, 3), (4, 1, 1), (4, None, 1)],
     )
-    def test_pool_size_capped(self, monkeypatch, jobs, cpus, expected):
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_pool_size_capped(self, monkeypatch, recording_pool, jobs, cpus, expected):
+        # the CPU count comes from the affinity mask; cpus=None stands for a
+        # platform without one whose os.cpu_count() cannot tell
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         reports = run_suite(SuiteConfig(**{**TINY.__dict__, "jobs": jobs}))
         assert len(reports) == 22
         # jobs > 1 always takes the pool path, whatever the machine
-        assert RecordingPool.sizes == [expected]
+        assert recording_pool.sizes == [expected]
         assert reports == run_suite(TINY)
+
+    @pytest.mark.parametrize("affinity, expected", [({0, 1}, 2), ({5}, 1), (None, 3)])
+    def test_pool_size_follows_affinity(self, monkeypatch, recording_pool, affinity, expected):
+        # a process pinned to fewer CPUs than the machine has (taskset, a
+        # container's cpuset) gets no more workers than it may run;
+        # affinity=None: no affinity call, so os.cpu_count() decides
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        run_suite(SuiteConfig(**{**TINY.__dict__, "jobs": 8}))
+        assert recording_pool.sizes == [expected]
+
+    def test_pool_gets_contiguous_batches(self, monkeypatch, recording_pool):
+        cases = enumerate_cases(SMALL)
+        serial_seen = []
+        serial = run_suite(SMALL, progress=serial_seen.append)
+        calls = []
+        real = suite_mod._run_one
+
+        def run_one(args):
+            calls.append(args[0])
+            return real(args)
+
+        monkeypatch.setattr(suite_mod, "_run_one", run_one)
+        seen = []
+        reports = run_suite(SuiteConfig(**{**SMALL.__dict__, "jobs": 2}), progress=seen.append)
+        [(fn, batches)] = recording_pool.maps
+        [workers] = recording_pool.sizes
+        assert fn is suite_mod._run_batch
+        # contiguous, covering every case once, in order
+        assert [c for batch in batches for c in batch] == cases
+        assert all(batches) and len(batches) <= workers * suite_mod._BATCHES_PER_WORKER
+        # _run_one stays the per-case entry point, looked up at call time
+        assert calls == cases
+        assert reports == serial and seen == serial_seen
+
+    def test_run_batch_keeps_reports_before_a_failure(self, monkeypatch):
+        cases = [Case("rv", p=5), Case("rv", p=7), Case("rv", p=11)]
+        real = suite_mod._run_one
+
+        def run_one(args):
+            if args[0].p == 7:
+                raise CongruenceError("injected failure at p = 7")
+            return real(args)
+
+        monkeypatch.setattr(suite_mod, "_run_one", run_one)
+        reports, exc = suite_mod._run_batch(cases)
+        assert [r.case for r in reports] == cases[:1] and reports[0].verdict
+        assert isinstance(exc, CongruenceError) and "p = 7" in str(exc)
+        if hasattr(exc, "add_note"):
+            # the worker's traceback text, which pickling would drop
+            assert "in run_one" in exc.__notes__[-1]
+        monkeypatch.setattr(suite_mod, "_run_one", real)
+        reports, exc = suite_mod._run_batch(cases)
+        assert [r.case for r in reports] == cases and exc is None
 
 
 class TestVerifyCommand:
@@ -379,9 +453,8 @@ class TestSuiteCommand:
         before = list(takewhile(lambda c: c.kind != "rv", enumerate_cases(SuiteConfig(p_max=11, d_set=(3,)))))
         expected = [row[:-1] for row in csv.reader(io.StringIO(render([real(c) for c in before], "csv")))]
         rows = [row[:-1] for row in csv.reader(io.StringIO(out.read_text()))]
-        # the pool batch that holds the failing case is lost with it
-        assert len(before) - 4 < len(rows) - 1 <= len(before)
-        assert rows == expected[: len(rows)]
+        assert len(rows) - 1 == len(before)
+        assert rows == expected
 
 
 class TestScanCommand:
