@@ -20,14 +20,13 @@ factorial = math.factorial
 
 
 def pochhammer(x: RationalLike, n: int) -> Fraction:
-    """Rising factorial (x)_n = x(x+1)...(x+n-1), with (x)_0 = 1."""
+    """Rising factorial (x)_n = x(x+1)...(x+n-1), with (x)_0 = 1: for
+    x = u/v, one integer product prod (u + v j) over v^n."""
     if n < 0:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
-    acc = Fraction(1)
     x = Fraction(x)
-    for j in range(n):
-        acc *= x + j
-    return acc
+    u, v = x.numerator, x.denominator
+    return Fraction(math.prod(u + v * j for j in range(n)), v**n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -187,13 +187,14 @@ def scan_conjecture(
     Returns all cells for this d in ascending n order. The cells missing
     from the state come from one sweep up to the largest of them, and each
     is appended to the state file as the sweep yields it, so an interrupted
-    scan resumes where it stopped.
+    scan resumes where it stopped. A non-integral cell read from the state
+    counts as missing, so only a fresh sweep can report a finding.
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")
     known = load_cells(state_path) if state_path is not None else {}
     ns = admissible_n(d, n_max)
-    cells = {n: known[(d, n)] for n in ns if (d, n) in known}
+    cells = {n: known[(d, n)] for n in ns if (d, n) in known and known[(d, n)].is_integer}
     for n, value in _sweep(d, [n for n in ns if n not in cells]):
         cell = ConjectureCell(d, n, value, value.denominator == 1)
         if state_path is not None:

@@ -1,11 +1,12 @@
 """One executable check per congruence/identity family.
 
-Each verifier declares its case kind once, with ``@_kind(name, check)``.
-Its body evaluates both sides in the stated modulus and returns
-``(lhs, rhs, modulus[, note])``. The wrapper the decorator puts in its
-place validates the hypotheses first (raising HypothesisViolated on a
-usage error) and returns a Report carrying both sides; a bare boolean
-would make failures undiagnosable.
+Each verifier declares its case kind once, with ``@_kind(name, check, k)``;
+k is the exponent of the kind's modulus p^k, and no k marks an exact
+identity. Its body evaluates both sides in the keyword-only ``ctx`` =
+PrimePower(p, k) and returns ``(lhs, rhs[, note])``. The wrapper the
+decorator puts in its place validates the hypotheses first (raising
+HypothesisViolated on a usage error) and returns a Report carrying both
+sides and the modulus; a bare boolean would make failures undiagnosable.
 
 Case kinds, in registration (``KINDS``) order:
 
@@ -45,7 +46,7 @@ from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolated, NonIntegralDenominator
-from .exact import binomial, factorial, pochhammer, zero_shift
+from .exact import binomial, factorial, zero_shift
 from .hypergeom import (
     AffineWeight,
     SeriesSpec,
@@ -57,8 +58,10 @@ from .hypergeom import (
     series,
     terms,
 )
-# term and harmonic_weighted_sum are unused here but stay bound: bench/tracing.py wraps them by name
+# pochhammer, term and harmonic_weighted_sum are unused here but stay bound: bench/tracing.py wraps them by name
+from .exact import pochhammer
 from .hypergeom import harmonic_weighted_sum, term
+from .km import KmInstance, km_lhs, km_rhs
 from .padic import GammaContext, PrimePower, Residue, least_nonneg_residue, reduce_mod, valuation
 from .primes import is_prime
 
@@ -194,26 +197,32 @@ def _require_prime(p: int) -> None:
 class Kind(NamedTuple):
     """A case kind as its verifier declares it: the Case fields the verifier
     takes, in positional order, defaults for the optional ones, the
-    hypothesis check (same parameters), and the verifier's module-global
-    name."""
+    hypothesis check (same parameters), the verifier's module-global
+    name, and the modulus exponent k (an int, a function of the same
+    parameters, or None for an exact identity)."""
 
     params: tuple[str, ...]
     defaults: dict[str, object]
     check: Callable[..., None]
     verifier: str
+    k: int | Callable[..., int] | None
 
 
 KINDS: dict[str, Kind] = {}
 
 
-def _kind(name: str, check: Callable[..., None]):
-    """Register the decorated body as case kind ``name``. The body takes the
-    kind's parameters and returns (lhs, rhs, modulus[, note]); the wrapper
-    builds the Case, runs ``check``, times the body and reports the verdict
-    ``lhs == rhs and not note``."""
+def _kind(name: str, check: Callable[..., None], k: int | Callable[..., int] | None = None):
+    """Register the decorated body as case kind ``name`` with modulus p^k.
+    The body takes the kind's parameters, plus a keyword-only ``ctx`` (the
+    PrimePower(p, k)) unless the kind is exact, and returns (lhs, rhs[, note]);
+    the wrapper builds the Case, runs ``check``, builds ``ctx``, times the
+    body and reports the modulus and the verdict ``lhs == rhs and not note``."""
 
     def register(body: Callable[..., tuple]) -> Callable[..., Report]:
         signature = inspect.signature(body)
+        signature = signature.replace(
+            parameters=[v for v in signature.parameters.values() if v.kind is not v.KEYWORD_ONLY]
+        )
         params = tuple(signature.parameters)
 
         @functools.wraps(body)
@@ -225,13 +234,16 @@ def _kind(name: str, check: Callable[..., None]):
             case = Case(name, **dict(zip(params, args)))
             args = [getattr(case, param) for param in params]
             check(*args)
+            ctx = None if k is None else PrimePower(case.p, k(*args) if callable(k) else k)
             t0 = perf_counter()
-            lhs, rhs, modulus, *note = body(*args)
+            lhs, rhs, *note = body(*args) if ctx is None else body(*args, ctx=ctx)
             note = note[0] if note else ""
+            modulus = "exact" if ctx is None else str(ctx)
             return Report(case, lhs, rhs, modulus, lhs == rhs and not note, perf_counter() - t0, note)
 
-        defaults = {k: v.default for k, v in signature.parameters.items() if v.default is not v.empty}
-        KINDS[name] = Kind(params, defaults, check, body.__name__)
+        verify.__signature__ = signature
+        defaults = {n: v.default for n, v in signature.parameters.items() if v.default is not v.empty}
+        KINDS[name] = Kind(params, defaults, check, body.__name__, k)
         return verify
 
     return register
@@ -272,13 +284,12 @@ def _require_rv(p: int) -> None:
     _require(is_prime(p) and p >= 5, f"need a prime p >= 5, got {p}")
 
 
-@_kind("rv", _require_rv)
-def verify_rodriguez_villegas(p: int) -> tuple:
+@_kind("rv", _require_rv, k=2)
+def verify_rodriguez_villegas(p: int, *, ctx: PrimePower) -> tuple:
     """2F1(1/2,1/2;1|1)_{p-1} ≡ (-1)^((p-1)/2) (mod p^2)."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(central_series(p - 1), ctx)
     rhs = reduce_mod((-1) ** ((p - 1) // 2), ctx)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_sun(alpha: Fraction, p: int) -> None:
@@ -286,13 +297,12 @@ def _require_sun(alpha: Fraction, p: int) -> None:
     _require(valuation(alpha, p) == 0, f"alpha = {alpha} must be a unit at p = {p}")
 
 
-@_kind("sun", _require_sun)
-def verify_sun(alpha: Fraction, p: int) -> tuple:
+@_kind("sun", _require_sun, k=2)
+def verify_sun(alpha: Fraction, p: int, *, ctx: PrimePower) -> tuple:
     """2F1(a,1-a;1|1)_{p-1} ≡ (-1)^{<-a>_p} (mod p^2) for a a p-adic unit."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(series([alpha, 1 - alpha], [1], 1, p - 1), ctx)
     rhs = reduce_mod((-1) ** least_nonneg_residue(-alpha, p), ctx)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_dflst(d: int, p: int, strength: int = 2) -> None:
@@ -303,25 +313,23 @@ def _require_dflst(d: int, p: int, strength: int = 2) -> None:
     _require(p % d == 1, f"need p ≡ 1 (mod {d}), got p = {p}")
 
 
-@_kind("dflst", _require_dflst)
-def verify_dflst(d: int, p: int, strength: int = 2) -> tuple:
+@_kind("dflst", _require_dflst, k=lambda d, p, strength: strength)
+def verify_dflst(d: int, p: int, strength: int = 2, *, ctx: PrimePower) -> tuple:
     """dF_{d-1}((1-1/d)^d; 1^{d-1} | 1)_{p-1} ≡ -Gamma_p(1/d)^d
     (mod p^strength), strength 2 for d >= 2 and 3 for d >= 3."""
-    ctx = PrimePower(p, strength)
     lhs = evaluate_mod(dflst_series(d, p - 1), ctx)
     rhs = -(GammaContext(ctx).gamma(Fraction(1, d)) ** d)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 # p ≡ 1 (mod d) makes the odd prime p coprime to 2d
-@_kind("guo-linear", _require_dflst)
-def verify_guo_linear(d: int, p: int) -> tuple:
+@_kind("guo-linear", _require_dflst, k=2)
+def verify_guo_linear(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
-    ctx = PrimePower(p, 2)
     lhs = affine_weighted_mod(AffineWeight(1, 0), dflst_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(1, d))
     rhs = reduce_mod(Fraction(d - 1, 2 * d), ctx) * g**d
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_guo_even(d: int, p: int) -> None:
@@ -337,26 +345,24 @@ def _require_guo_odd(d: int, p: int) -> None:
     _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
 
 
-@_kind("guo-even", _require_guo_even)
-def verify_guo_even(d: int, p: int) -> tuple:
+@_kind("guo-even", _require_guo_even, k=2)
+def verify_guo_even(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """dF_{d-1}(1/d-1, (1+1/d)^{d-1}; 1^{d-1} | 1)_{p-1} ≡
     (d-1)/d^2 Gamma_p(-1/d)^d (mod p^2) for even d, p ≡ -1 (mod d)."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_even_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(d - 1, d * d), ctx) * g**d
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
-@_kind("guo-odd", _require_guo_odd)
-def verify_guo_odd(d: int, p: int) -> tuple:
+@_kind("guo-odd", _require_guo_odd, k=2)
+def verify_guo_odd(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """dF_{d-1}(1/d, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡
     -1/d^2 Gamma_p(-1/d)^d (mod p^2) for odd d, p ≡ -1 (mod d)."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(guo_odd_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(-1, d))
     rhs = reduce_mod(Fraction(-1, d * d), ctx) * g**d
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_central(p: int, r: int) -> None:
@@ -365,29 +371,27 @@ def _require_central(p: int, r: int) -> None:
     _require(r >= 1, f"need r >= 1, got {r}")
 
 
-@_kind("guo-central", _require_central)
-def verify_guo_central(p: int, r: int) -> tuple:
+@_kind("guo-central", _require_central, k=lambda p, r: 2 * r + 1)
+def verify_guo_central(p: int, r: int, *, ctx: PrimePower) -> tuple:
     """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
-    ctx = PrimePower(p, 2 * r + 1)
     w = AffineWeight(1, -Fraction(p ** (2 * r) - 1, 4))
     lhs = affine_weighted_mod(w, central_series(p**r - 1), ctx)
     rhs = Residue(0, ctx)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
-def _harmonic_mod_p(spec: SeriesSpec, c1: int, c2: int, rhs_exact: Fraction, p: int) -> tuple:
+def _harmonic_mod_p(spec: SeriesSpec, c1: int, c2: int, rhs_exact: Fraction, ctx: PrimePower) -> tuple:
     """The harmonic-difference sum folded mod p and the exact rhs reduced. A
     non-p-integral side is surfaced as a failing report with a ``finding:``
     note (it would contradict the integrality the closed forms assume)."""
-    ctx = PrimePower(p, 1)
     try:
-        return harmonic_weighted_mod(spec, c1, c2, ctx), reduce_mod(rhs_exact, ctx), str(ctx)
+        return harmonic_weighted_mod(spec, c1, c2, ctx), reduce_mod(rhs_exact, ctx)
     except NonIntegralDenominator as exc:
-        return None, None, str(ctx), f"finding: {exc}"
+        return None, None, f"finding: {exc}"
 
 
-@_kind("harmonic-even", _require_guo_even)
-def verify_harmonic_even(d: int, p: int) -> tuple:
+@_kind("harmonic-even", _require_guo_even, k=1)
+def verify_harmonic_even(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """The harmonic-difference weighted sum over (m-1)_k (m+1)_k^{d-1},
     m = (p+1)/d, against (p-1)!/((m-2)! m!^{d-1}) (1/m + 1/(m-1)) mod p."""
     m = (p + 1) // d
@@ -395,17 +399,17 @@ def verify_harmonic_even(d: int, p: int) -> tuple:
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 2) * factorial(m) ** (d - 1)) * (
         Fraction(1, m) + Fraction(1, m - 1)
     )
-    return _harmonic_mod_p(spec, m - 1, m + 1, rhs_exact, p)
+    return _harmonic_mod_p(spec, m - 1, m + 1, rhs_exact, ctx)
 
 
-@_kind("harmonic-odd", _require_guo_odd)
-def verify_harmonic_odd(d: int, p: int) -> tuple:
+@_kind("harmonic-odd", _require_guo_odd, k=1)
+def verify_harmonic_odd(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """The harmonic-difference weighted sum over (m)_k^2 (m+1)_k^{d-2},
     m = (p+1)/d, against (p-1)!/((m-1)! m!^{d-1}) mod p."""
     m = (p + 1) // d
     spec = series([m, m] + [m + 1] * (d - 2), [1] * (d - 1), 1, p - 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 1) * factorial(m) ** (d - 1))
-    return _harmonic_mod_p(spec, m, m + 1, rhs_exact, p)
+    return _harmonic_mod_p(spec, m, m + 1, rhs_exact, ctx)
 
 
 def _require_four_k_plus_one(n: int) -> None:
@@ -417,16 +421,15 @@ def verify_four_k_plus_one(n: int) -> tuple:
     """Exact identity: sum_{k<n} (4k+1)(1/2)_k^2/k!^2 = n^2 C(2n,n)^2/4^{2n-1}."""
     lhs = affine_weighted_sum(AffineWeight(4, 1), central_series(n - 1))
     rhs = Fraction(n * n, 4 ** (2 * n - 1)) * binomial(2 * n, n) ** 2
-    return lhs, rhs, "exact"
+    return lhs, rhs
 
 
-@_kind("liu", _require_central)
-def verify_liu(p: int, r: int) -> tuple:
+@_kind("liu", _require_central, k=2)
+def verify_liu(p: int, r: int, *, ctx: PrimePower) -> tuple:
     """sum (1/2)_k^2/k!^2 over k < p^r ≡ 1 (mod p^2) for p ≡ 1 (mod 4)."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(central_series(p**r - 1), ctx)
     rhs = Residue(1, ctx)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_three_series(d: int, n: int) -> None:
@@ -447,7 +450,7 @@ def verify_three_series(d: int, n: int) -> tuple:
     termwise = all(
         a + (d - 1) * b == d * c for a, b, c in zip(terms(sa), terms(sb), terms(sc))
     )
-    return lhs, rhs, "exact", "" if termwise else "termwise identity fails"
+    return lhs, rhs, "" if termwise else "termwise identity fails"
 
 
 def _require_combined(d: int, p: int) -> None:
@@ -457,14 +460,13 @@ def _require_combined(d: int, p: int) -> None:
     _require(p != d - 1, f"p = d-1 = {p} is excluded")
 
 
-@_kind("combined", _require_combined)
-def verify_combined(d: int, p: int) -> tuple:
+@_kind("combined", _require_combined, k=2)
+def verify_combined(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{p-1} ≡ 0 (mod p^2)
     for d >= 3, p ≡ -1 (mod d), p != d-1."""
-    ctx = PrimePower(p, 2)
     lhs = evaluate_mod(combined_series(d, p - 1), ctx)
     rhs = Residue(0, ctx)
-    return lhs, rhs, str(ctx)
+    return lhs, rhs
 
 
 def _require_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> None:
@@ -479,19 +481,11 @@ def _require_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> None:
 def verify_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> tuple:
     """The (x,y)-deformed terminating sum (leading parameter 1-p, pairs
     m-1+x/1+x, m+1+y/1+y, and (m+1)/1 repeated) equals its Karlsson-Minton
-    closed form (p-1)!/((1+x)_{m-2} (1+y)_m m!^{d-2}) exactly."""
+    closed form (p-1)!/((1+x)_{m-2} (1+y)_m m!^{d-2}) exactly; the shifts
+    m-2, m, ..., m sum to p-1."""
     m = (p + 1) // d
-    spec = series(
-        [1 - p, m - 1 + x, m + 1 + y] + [m + 1] * (d - 2),
-        [1 + x, 1 + y] + [1] * (d - 2),
-        1,
-        p - 1,
-    )
-    lhs = evaluate_exact(spec)
-    rhs = Fraction(factorial(p - 1)) / (
-        pochhammer(1 + x, m - 2) * pochhammer(1 + y, m) * factorial(m) ** (d - 2)
-    )
-    return lhs, rhs, "exact"
+    inst = KmInstance((m - 2, m) + (m,) * (d - 2), (1 + x, 1 + y) + (1,) * (d - 2))
+    return km_lhs(inst), km_rhs(inst)
 
 
 CASE_KINDS = tuple(KINDS)

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import supercongruences.scan as scan_mod
 from supercongruences.cli import main as cli_main
 from supercongruences.exact import (
     binomial,
@@ -248,15 +249,15 @@ def test_criterion_14_three_series_and_combined():
     _criterion(14, "three-series identity (d=3..7, truncations <= 12); combined vanishing mod p^2 (d=3..6)", ok)
 
 
-def test_criterion_15_conjecture_scan(tmp_path, capsys):
+def test_criterion_15_conjecture_scan(tmp_path, monkeypatch, capsys):
     ok = True
     for d in (2, 3, 4, 5):
         cells = scan_conjecture(d, 50)
         ok = ok and len(cells) == len(admissible_n(d, 50)) and all(c.is_integer for c in cells)
         ok = ok and cli_main(["scan", "--d", str(d), "--n-max", "50"]) == 0
     # a non-integral cell must surface with exit code 3 and the exact value
+    monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(3, Fraction(7, 2))])
     state = tmp_path / "state.txt"
-    state.write_text("2 3 7 2 0\n", encoding="utf-8")
     code = cli_main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)])
     err = capsys.readouterr().err
     ok = ok and code == 3 and "7/2" in err

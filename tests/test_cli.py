@@ -477,12 +477,22 @@ class TestScanCommand:
         )
         assert cli.main(["scan", "--d", "2", "--n-max", "11", "--state", str(state)]) == 0
 
-    def test_finding_exit_three_and_full_value(self, tmp_path, capsys):
+    def test_finding_exit_three_and_full_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(3, F(7, 2))])
         state = tmp_path / "state.txt"
-        state.write_text("2 3 7 2 0\n", encoding="utf-8")
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 3
         captured = capsys.readouterr()
         assert "NON-INTEGRAL" in captured.err and "7/2" in captured.err
+
+    def test_non_integral_state_line_is_recomputed(self, tmp_path, capsys):
+        # a finding read back from the state is never trusted: the sweep
+        # recomputes the cell, and its appended line is the one loads keep
+        state = tmp_path / "state.txt"
+        state.write_text("2 3 7 2 0\n", encoding="utf-8")
+        assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 0
+        assert capsys.readouterr().out.split()[:3] == ["2", "3", "5"]
+        assert state.read_text().splitlines() == ["2 3 7 2 0", "2 3 5 1 1"]
+        assert scan_mod.load_cells(state)[(2, 3)].value == scan_mod.conjecture_value(2, 3) == 5
 
     def test_inconsistent_flag_is_usage_error(self, tmp_path, capsys):
         # the integer 5 flagged non-integral is a corrupt line, not a finding

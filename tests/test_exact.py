@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from supercongruences.errors import ZeroLowerPochhammer
@@ -24,6 +24,15 @@ F = Fraction
 
 def random_rational(rng, span=12, max_den=9):
     return F(rng.randint(-span, span), rng.randint(1, max_den))
+
+
+def naive_pochhammer(x, n):
+    """(x)_n one Fraction factor at a time: the oracle for the integer product."""
+    acc = F(1)
+    x = F(x)
+    for j in range(n):
+        acc *= x + j
+    return acc
 
 
 class TestPochhammer:
@@ -50,6 +59,17 @@ class TestPochhammer:
             x = random_rational(rng)
             m, n = rng.randint(0, 8), rng.randint(0, 8)
             assert pochhammer(x, m + n) == pochhammer(x, m) * pochhammer(x + m, n)
+
+    # negative x with n past -x crosses zero (and is 0 when x is an integer)
+    @given(num=st.integers(-80, 80), den=st.integers(1, 30), n=st.integers(0, 60))
+    @example(num=-7, den=3, n=60)
+    @example(num=-5, den=1, n=60)
+    @example(num=-1, den=2, n=1)
+    @example(num=11, den=4, n=0)
+    def test_matches_fraction_loop(self, num, den, n):
+        x = F(num, den)
+        got = pochhammer(x, n)
+        assert type(got) is F and got == naive_pochhammer(x, n)
 
 
 class TestFactorialBinomial:

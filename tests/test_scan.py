@@ -121,11 +121,14 @@ class TestScan:
         assert [c.n for c in cells] == admissible_n(5, 600)
         assert all(c.value == conjecture_value(5, c.n) and c.is_integer for c in cells)
 
-    def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, caplog):
-        # plant a fake half-integral cell in the state; the scan must
-        # surface it and keep going
+    def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, monkeypatch, caplog):
+        # make the sweep yield a fake half-integral first cell; the scan
+        # must surface it and keep going
+        real = scan_mod._sweep
+        monkeypatch.setattr(
+            scan_mod, "_sweep", lambda d, ns: ((n, F(7, 2) if n == 3 else v) for n, v in real(d, ns))
+        )
         state = tmp_path / "cells.txt"
-        state.write_text("2 3 7 2 0\n", encoding="utf-8")
         with caplog.at_level("WARNING"):
             cells = scan_conjecture(2, 7, state)
         assert [c.n for c in cells] == [3, 5, 7]

@@ -1,6 +1,7 @@
 """Per-family verifier behavior: passing instances, hypothesis guards,
 report structure, and the cross-family consistency checks."""
 
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import supercongruences.hypergeom as hypergeom_mod
 import supercongruences.verifiers as verifiers_mod
 from supercongruences.errors import HypothesisViolated
-from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact
+from supercongruences.exact import factorial, pochhammer
+from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact, series
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
 from supercongruences.suite import SuiteConfig, enumerate_cases
 from supercongruences.verifiers import (
@@ -307,6 +309,35 @@ class TestKmDeformed:
     def test_negative_integers_beyond_truncation(self):
         assert verify_km_deformed(4, 7, -7, -9).verdict
 
+    @staticmethod
+    def hand_written_sides(d, p, x, y):
+        """The deformed sum and closed form typed out directly: leading
+        parameter 1-p, and m!^{d-2} for the undeformed pairs."""
+        m = (p + 1) // d
+        spec = series(
+            [1 - p, m - 1 + x, m + 1 + y] + [m + 1] * (d - 2), [1 + x, 1 + y] + [1] * (d - 2), 1, p - 1
+        )
+        rhs = F(factorial(p - 1)) / (
+            pochhammer(1 + x, m - 2) * pochhammer(1 + y, m) * factorial(m) ** (d - 2)
+        )
+        return evaluate_exact(spec), rhs
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in enumerate_cases(SuiteConfig()) if c.kind == "km-deformed"],
+        ids=lambda c: f"d{c.d}-p{c.p}-x{c.x}-y{c.y}",
+    )
+    def test_default_points_match_hand_written_sides(self, case):
+        report = run_case(case)
+        assert (report.lhs, report.rhs) == self.hand_written_sides(case.d, case.p, case.x, case.y)
+
+    @pytest.mark.parametrize("d, p", [(4, 307), (6, 311), (8, 967)])
+    def test_large_primes_match_hand_written_sides(self, d, p):
+        for x, y in [(F(0), F(0)), (F(2, 7), F(-3, 5)), (F(-5, 9), F(7, 2))]:
+            report = verify_km_deformed(d, p, x, y)
+            assert report.verdict
+            assert (report.lhs, report.rhs) == self.hand_written_sides(d, p, x, y)
+
 
 class TestArithmeticSpotChecks:
     """The two single-modulus reductions the central-binomial argument
@@ -345,7 +376,7 @@ class TestModularPath:
     )
 
     def test_folded_are_the_modular_kinds(self):
-        exact = {"four-k-plus-one", "three-series", "km-deformed"}
+        exact = {kind for kind in CASE_KINDS if KINDS[kind].k is None}
         assert set(self.FOLDED) == set(CASE_KINDS) - exact
 
     @pytest.mark.parametrize("kind", FOLDED)
@@ -429,8 +460,21 @@ class TestReportsAndDispatch:
     def test_direct_calls_cover_every_kind(self):
         assert tuple(case.kind for case, _ in DIRECT_CALLS) == CASE_KINDS
 
+    @pytest.mark.parametrize("case, direct", DIRECT_CALLS, ids=[case.kind for case, _ in DIRECT_CALLS])
+    def test_report_modulus_is_the_registry_k(self, case, direct):
+        kind = KINDS[case.kind]
+        args = [getattr(case, name) for name in kind.params]
+        k = kind.k(*args) if callable(kind.k) else kind.k
+        assert run_case(case).modulus == ("exact" if k is None else str(PrimePower(case.p, k)))
+
     def test_direct_call_fills_defaults(self):
         assert verify_dflst(3, 7).case.strength == 2
+
+    def test_public_signature_has_no_ctx(self):
+        # ctx is the wrapper's to pass; callers give only the Case fields
+        assert tuple(inspect.signature(verify_dflst).parameters) == ("d", "p", "strength")
+        with pytest.raises(TypeError):
+            verify_dflst(3, 7, ctx=PrimePower(7, 2))
 
     def test_rational_parameters_stored_as_fractions(self):
         case = Case("sun", p=7, alpha=1)
