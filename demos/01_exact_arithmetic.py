@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tour of the exact building blocks: rising factorials, harmonic sums,
-and rational-coefficient polynomials.
+"""Tour of the exact building blocks: rising factorials and shifted
+harmonic sums.
 
 Everything is a Python int or fractions.Fraction, so every value printed
 here is exact; nothing is rounded anywhere in the library.
@@ -8,12 +8,7 @@ here is exact; nothing is rounded anywhere in the library.
 
 from fractions import Fraction
 
-from supercongruences import (
-    harmonic,
-    poch_poly,
-    pochhammer,
-    shifted_harmonic,
-)
+from supercongruences import pochhammer, shifted_harmonic
 
 F = Fraction
 
@@ -27,22 +22,5 @@ print(f"  (1)_5 = {pochhammer(1, 5)} = 5!")
 
 print()
 print("Harmonic numbers and shifted harmonic sums:")
-print(f"  H_3 = {harmonic(3)}")
+print(f"  H_3 = {shifted_harmonic(1, 3)}")
 print(f"  sum of 1/(1/2 + j) for j < 2 = {shifted_harmonic(F(1, 2), 2)}")
-
-print()
-print("(1+a+x)_k expands to an exact polynomial in x. For a = 0, k = 3:")
-poly = poch_poly(0, 3)
-print(f"  coefficients (constant first): {[str(c) for c in poly.coeffs]}")
-
-print()
-print("Its derivative is the polynomial times a shifted harmonic sum,")
-print("which is what lets congruence proofs differentiate termwise:")
-t = F(1, 5)
-base = 1 + 0 + t
-lhs = poly.derivative()(t)
-rhs = pochhammer(base, 3) * shifted_harmonic(base, 3)
-print(f"  P'(1/5)                  = {lhs}")
-print(f"  (1+1/5)_3 * harmonic sum = {rhs}")
-assert lhs == rhs
-print("  equal, as they must be.")

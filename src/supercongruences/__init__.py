@@ -9,11 +9,8 @@ from .errors import (
     ZeroLowerPochhammer,
 )
 from .exact import (
-    RationalPoly,
     binomial,
     factorial,
-    harmonic,
-    poch_poly,
     pochhammer,
     shifted_harmonic,
 )

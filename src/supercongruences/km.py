@@ -28,6 +28,9 @@ class KmInstance:
     b: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        fractional = [v for v in self.m if v != int(v)]
+        if fractional:
+            raise ValueError(f"shifts must be integers, got {', '.join(map(str, fractional))}")
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
         object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
         if len(self.m) != len(self.b):

@@ -1,5 +1,6 @@
-"""Exact building blocks: rising factorials, harmonic sums, polynomials."""
+"""Exact building blocks: rising factorials, binomials, shifted harmonic sums."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,9 @@ from hypothesis import strategies as st
 
 from supercongruences.errors import ZeroLowerPochhammer
 from supercongruences.exact import (
-    RationalPoly,
     binomial,
     check_harmonic_shift,
     factorial,
-    harmonic,
-    poch_poly,
     pochhammer,
     shifted_harmonic,
 )
@@ -33,6 +31,11 @@ def naive_pochhammer(x, n):
     for j in range(n):
         acc *= x + j
     return acc
+
+
+def pochhammer_derivative(x, n):
+    """d/dx (x)_n by the product rule: the sum over i of (x)_n with its factor x+i left out."""
+    return sum((math.prod(x + j for j in range(n) if j != i) for i in range(n)), F(0))
 
 
 class TestPochhammer:
@@ -107,13 +110,10 @@ class TestFactorialBinomial:
 
 class TestHarmonic:
     def test_values(self):
-        assert harmonic(0) == 0
-        assert harmonic(1) == 1
-        assert harmonic(3) == F(11, 6)
-
-    def test_matches_shifted_at_one(self):
-        for k in range(101):
-            assert harmonic(k) == shifted_harmonic(1, k)
+        # H_k = shifted_harmonic(1, k)
+        assert shifted_harmonic(1, 0) == 0
+        assert shifted_harmonic(1, 1) == 1
+        assert shifted_harmonic(1, 3) == F(11, 6)
 
     def test_shifted_values(self):
         assert shifted_harmonic(5, 0) == 0
@@ -125,6 +125,10 @@ class TestHarmonic:
             shifted_harmonic(0, 1)
         with pytest.raises(ZeroLowerPochhammer):
             shifted_harmonic(-2, 5)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k >= 0"):
+            shifted_harmonic(F(1, 2), -1)
 
     @given(
         c=st.builds(F, st.integers(-15, 15), st.sampled_from([1, 1, 2, 3])),
@@ -141,79 +145,31 @@ class TestHarmonic:
             check_harmonic_shift(c, k)
 
 
-class TestRationalPoly:
-    def test_poch_poly_single_factor(self):
-        assert poch_poly(0, 1).coeffs == (F(1), F(1))
-
-    def test_poch_poly_expanded(self):
-        # (1+x)(2+x) = 2 + 3x + x^2
-        assert poch_poly(0, 2).coeffs == (F(2), F(3), F(1))
-
-    def test_poch_poly_constant(self):
-        p = poch_poly(F(1, 2), 0)
-        assert p.coeffs == (F(1),)
-        assert p.degree == 0
-
-    def test_derivative(self):
-        p = RationalPoly((F(2), F(3), F(1)))
-        assert p.derivative().coeffs == (F(3), F(2))
-
-    def test_derivative_of_constant_is_zero_poly(self):
-        z = RationalPoly((F(7),)).derivative()
-        assert z.coeffs == ()
-        assert z.degree is None
-
-    def test_eval(self):
-        assert RationalPoly((F(1), F(1)))(-1) == 0
-
-    def test_trailing_zeros_stripped(self):
-        assert RationalPoly((F(1), F(0), F(0))).coeffs == (F(1),)
-
-    def test_add_mul_against_eval(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            a = RationalPoly(tuple(random_rational(rng) for _ in range(rng.randint(0, 4))))
-            b = RationalPoly(tuple(random_rational(rng) for _ in range(rng.randint(0, 4))))
-            t = random_rational(rng)
-            assert (a + b)(t) == a(t) + b(t)
-            assert (a * b)(t) == a(t) * b(t)
-
-    def test_poch_poly_evaluates_to_pochhammer(self):
-        rng = random.Random(202)
-        for _ in range(20):
-            alpha = random_rational(rng)
-            k = rng.randint(0, 8)
-            t = random_rational(rng)
-            assert poch_poly(alpha, k)(t) == pochhammer(1 + alpha + t, k)
-
-
 class TestDerivativeIdentities:
-    """d/dx (1+a+x)_k equals (1+a+x)_k times the shifted harmonic sum at
-    1+a+x, and the reciprocal picks up the same factor with a minus sign."""
+    """d/dx (x)_k equals (x)_k times the shifted harmonic sum at x, and the
+    reciprocal picks up the same factor with a minus sign; the product rule
+    gives the derivative independently."""
 
     def _sample(self, rng):
         while True:
             alpha = random_rational(rng)
             k = rng.randint(0, 10)
-            t = random_rational(rng)
-            base = 1 + alpha + t
+            base = 1 + alpha + random_rational(rng)
             if all(base + j != 0 for j in range(k)):
-                return alpha, k, t, base
+                return k, base
 
     def test_derivative_identity(self):
         rng = random.Random(303)
         for _ in range(30):
-            alpha, k, t, base = self._sample(rng)
-            poly = poch_poly(alpha, k)
-            assert poly.derivative()(t) == pochhammer(base, k) * shifted_harmonic(base, k)
+            k, base = self._sample(rng)
+            assert pochhammer_derivative(base, k) == pochhammer(base, k) * shifted_harmonic(base, k)
 
     def test_reciprocal_identity_via_quotient_rule(self):
         # d/dx (1/P) = -P'/P^2 must match -(1/P) * harmonic factor
         rng = random.Random(404)
         for _ in range(30):
-            beta, k, t, base = self._sample(rng)
-            poly = poch_poly(beta, k)
-            value = poly(t)
-            lhs = -poly.derivative()(t) / value**2
+            k, base = self._sample(rng)
+            value = pochhammer(base, k)
+            lhs = -pochhammer_derivative(base, k) / value**2
             rhs = -shifted_harmonic(base, k) / value
             assert lhs == rhs

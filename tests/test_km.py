@@ -40,6 +40,14 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             KmInstance((-1,), (F(1, 2),))
 
+    def test_non_integral_shift(self):
+        # a fractional shift is another instance altogether, never truncated
+        for shift in (1.5, F(3, 2)):
+            with pytest.raises(ValueError) as excinfo:
+                KmInstance((2, shift), (F(1, 2), 1))
+            assert str(excinfo.value) == f"shifts must be integers, got {shift}"
+        assert KmInstance((2.0, F(4, 2)), (F(1, 2), 1)).m == (2, 2)
+
 
 class TestClosedForm:
     def test_single_pair(self):

@@ -1,6 +1,7 @@
 """Per-family verifier behavior: passing instances, hypothesis guards,
 report structure, and the cross-family consistency checks."""
 
+import importlib
 import inspect
 import json
 import re
@@ -586,3 +587,17 @@ class TestRegistry:
         bullets = [line for line in verifiers_mod.__doc__.splitlines() if line.startswith("* ``")]
         ids = [k for line in bullets for k in re.findall(r"``([^`]+)``", line.split(":")[0])]
         assert tuple(ids) == CASE_KINDS
+
+    def test_docs_layout_names_resolve(self):
+        # every identifier in a "Library layout" row is an attribute of that row's module
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text(encoding="utf-8").split("## Library layout")[1].split("\n## ")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `supercongruences.")]
+        listed = [
+            (module.strip(" `"), name)
+            for module, contents in rows
+            for name in re.findall(r"`([^`]+)`", contents)
+            if name.isidentifier()
+        ]
+        assert len({module for module, _ in listed}) == 7
+        assert [(m, n) for m, n in listed if not hasattr(importlib.import_module(m), n)] == []
