@@ -26,6 +26,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 from .errors import CongruenceError, HypothesisViolated
+from .exact import rational_text
 from .primes import primes_in_class
 from .scan import scan_conjecture
 from .suite import SuiteConfig, all_pass, pass_line, render, report_lines, run_suite
@@ -156,7 +157,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             print(cell.line())
     bad = [c for c in cells if not c.is_integer]
     for cell in bad:
-        print(f"NON-INTEGRAL cell d={cell.d} n={cell.n}: {cell.value_text()}", file=sys.stderr)
+        print(f"NON-INTEGRAL cell d={cell.d} n={cell.n}: {rational_text(cell.value)}", file=sys.stderr)
     return EXIT_FINDING if bad else EXIT_PASS
 
 

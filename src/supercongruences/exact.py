@@ -1,14 +1,16 @@
-"""Exact integer/rational building blocks: rising factorials, binomials
-and shifted harmonic sums.
+"""Exact integer/rational building blocks: rising factorials, binomials,
+shifted harmonic sums, and the decimal text of exact numbers.
 
 Everything here is pure and exact. Integers are Python ints, rationals
 are ``fractions.Fraction`` (always in lowest terms, so equality and
-hashing are structural).
+hashing are structural). ``int_text``/``rational_text`` and ``parse_int``
+are the one text codec of reports and the scan, exact at any length.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ZeroLowerPochhammer
@@ -58,3 +60,27 @@ def shifted_harmonic(c: RationalLike, k: int) -> Fraction:
     c = Fraction(c)
     check_harmonic_shift(c, k)
     return sum((1 / (c + j) for j in range(k)), Fraction(0))
+
+
+def int_text(value: int) -> str:
+    """str(), exact past the int/str digit limit (4300 by default) via Decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def parse_int(text: str) -> int:
+    """Inverse of int_text: only fields int() refuses take the slower Decimal."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.removeprefix("-").isdecimal():
+            raise
+        return int(Decimal(text))
+
+
+def rational_text(q: RationalLike) -> str:
+    """str() of a Fraction or int, "num" or "num/den", at any length."""
+    num = int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"

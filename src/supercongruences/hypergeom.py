@@ -74,14 +74,8 @@ class SeriesSpec:
                 )
 
 
-def series(
-    upper: list[RationalLike] | tuple[RationalLike, ...],
-    lower: list[RationalLike] | tuple[RationalLike, ...],
-    z: RationalLike,
-    n: int,
-) -> SeriesSpec:
-    """Convenience constructor accepting ints and Fractions."""
-    return SeriesSpec(tuple(upper), tuple(lower), Fraction(z), n)
+# The constructor by its short name; SeriesSpec coerces ints and Fractions itself.
+series = SeriesSpec
 
 
 def _forms(spec: SeriesSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

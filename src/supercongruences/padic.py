@@ -139,9 +139,6 @@ class Residue:
             return self.value == other.value and self.ctx == other.ctx
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.value, self.ctx))
-
     def centered(self) -> int:
         """Representative in (-p^k/2, p^k/2]."""
         m = self.ctx.modulus
@@ -171,11 +168,9 @@ def reduce_mod(q: Fraction | int, ctx: PrimePower) -> Residue:
 
 
 def least_nonneg_residue(x: Fraction | int, p: int) -> int:
-    """<x>_p: the least nonnegative residue of a p-adic integer x mod p."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise NonIntegralDenominator(f"{x} is not p-integral at p={p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
+    """<x>_p: the least nonnegative residue of a p-adic integer x mod an
+    odd prime p."""
+    return reduce_mod(x, PrimePower(p, 1)).value
 
 
 def _unit_product(n: int, ctx: PrimePower) -> int:

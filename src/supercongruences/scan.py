@@ -17,7 +17,8 @@ and is reported loudly, never swallowed.
 State persists as append-only UTF-8 lines, one cell per line:
 ``d n numerator denominator is_integer`` (five decimal integers,
 is_integer as 0/1), so exactness survives serialization and re-scans
-resume instead of recomputing.
+resume instead of recomputing. Fields of any length round-trip through
+``exact.int_text`` and ``exact.parse_int``.
 
 ``load_cells`` keeps one module-level snapshot of the last file it read
 successfully: its bytes up to the last newline, their line count and
@@ -32,13 +33,12 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import HypothesisViolated
-from .exact import factorial
+from .exact import factorial, int_text, parse_int, rational_text
 from .hypergeom import evaluate_exact
 from .verifiers import combined_series
 
@@ -54,27 +54,23 @@ class ConjectureCell:
 
     def line(self) -> str:
         return (
-            f"{self.d} {self.n} {_int_text(self.value.numerator)} "
-            f"{_int_text(self.value.denominator)} {1 if self.is_integer else 0}"
+            f"{self.d} {self.n} {int_text(self.value.numerator)} "
+            f"{int_text(self.value.denominator)} {1 if self.is_integer else 0}"
         )
 
     def to_dict(self) -> dict:
         return {
             "d": self.d,
             "n": self.n,
-            "numerator": _int_text(self.value.numerator),
-            "denominator": _int_text(self.value.denominator),
+            "numerator": int_text(self.value.numerator),
+            "denominator": int_text(self.value.denominator),
             "is_integer": self.is_integer,
         }
-
-    def value_text(self) -> str:
-        num, den = self.value.numerator, self.value.denominator
-        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
     @classmethod
     def from_line(cls, line: str) -> ConjectureCell:
         """Parse one state line; ValueError unless it is a consistent cell."""
-        d, n, num, den, flag = map(_parse_int, line.split())  # ValueError unless 5 fields
+        d, n, num, den, flag = map(parse_int, line.split())  # ValueError unless 5 fields
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
         value = Fraction(num, den)
@@ -83,24 +79,6 @@ class ConjectureCell:
         if flag != (den == 1):
             raise ValueError(f"is_integer flag {flag} disagrees with denominator")
         return cls(d, n, value, den == 1)
-
-
-def _int_text(value: int) -> str:
-    """str(), exact past the int/str digit limit (4300 by default) via Decimal."""
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
-
-
-def _parse_int(text: str) -> int:
-    """Inverse of _int_text: only fields int() refuses take the slower Decimal."""
-    try:
-        return int(text)
-    except ValueError:
-        if not text.removeprefix("-").isdecimal():
-            raise
-        return int(Decimal(text))
 
 
 def admissible_n(d: int, n_max: int) -> list[int]:
@@ -203,7 +181,7 @@ def scan_conjecture(
     out = [cells[n] for n in ns]
     for cell in out:
         if not cell.is_integer:
-            log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, cell.value_text())
+            log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, rational_text(cell.value))
     return out
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import CongruenceError, HypothesisViolated
+from .exact import int_text, rational_text
 # primes_in_class is unused here but stays bound: bench/tracing.py wraps it by name
 from .primes import odd_primes_up_to, primes_in_class
 from .verifiers import KINDS, Case, Report, admissible, run_case
@@ -50,7 +51,6 @@ class SuiteConfig:
     d_set: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
     r_max: int = 2
     max_strength: int = 3
-    sun_alphas: tuple[Fraction, ...] = DEFAULT_SUN_ALPHAS
     sun_p_max: int = 97
     harmonic_p_max: int = 60
     identity_n_max: int = 100
@@ -101,7 +101,7 @@ def _candidates(cfg: SuiteConfig) -> Iterator[tuple[str, dict]]:
         for r in range(1, cfg.r_max + 1):
             if p**r - 1 <= cfg.p_max:
                 yield from ((k, dict(p=p, r=r)) for k in ("guo-central", "liu"))
-    for alpha in cfg.sun_alphas:
+    for alpha in DEFAULT_SUN_ALPHAS:
         yield from (("sun", dict(p=p, alpha=alpha)) for p in odd_primes_up_to(cfg.sun_p_max))
     yield from (("four-k-plus-one", dict(n=n)) for n in range(1, cfg.identity_n_max + 1))
     for d in cfg.d_set:
@@ -231,11 +231,11 @@ def _side_text(side) -> str:
     if side is None:
         return ""
     if isinstance(side, Fraction):
-        return str(side)
+        return rational_text(side)
     centered = side.centered()
     if centered != side.value and abs(centered) < 1000:
-        return f"{side.value} (= {centered})"
-    return str(side.value)
+        return f"{int_text(side.value)} (= {centered})"
+    return int_text(side.value)
 
 
 def report_lines(reports: Iterable[Report]) -> list[str]:
@@ -269,10 +269,10 @@ def to_csv(reports: Iterable[Report]) -> str:
         writer.writerow(
             [
                 case.label(),
-                case.d if case.d is not None else "",
-                case.p if case.p is not None else "",
-                case.r if case.r is not None else "",
-                case.n if case.n is not None else "",
+                case.d,
+                case.p,
+                case.r,
+                case.n,
                 r.modulus,
                 _side_text(r.lhs),
                 _side_text(r.rhs),

@@ -46,7 +46,7 @@ from time import perf_counter
 from typing import Callable, NamedTuple
 
 from .errors import HypothesisViolated, NonIntegralDenominator
-from .exact import binomial, factorial, zero_shift
+from .exact import binomial, factorial, parse_int, rational_text, zero_shift
 from .hypergeom import (
     AffineWeight,
     SeriesSpec,
@@ -134,7 +134,7 @@ def _side_to_dict(side: Side) -> dict | None:
         return None
     if isinstance(side, Residue):
         return {"type": "residue", "value": side.value, "p": side.ctx.p, "k": side.ctx.k}
-    return {"type": "rational", "value": str(side)}
+    return {"type": "rational", "value": rational_text(side)}
 
 
 def _side_from_dict(data: dict | None) -> Side:
@@ -142,7 +142,8 @@ def _side_from_dict(data: dict | None) -> Side:
         return None
     if data["type"] == "residue":
         return Residue(data["value"], PrimePower(data["p"], data["k"]))
-    return Fraction(data["value"])
+    num, _, den = data["value"].partition("/")
+    return Fraction(parse_int(num), parse_int(den or "1"))
 
 
 @dataclass(frozen=True)

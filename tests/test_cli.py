@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from itertools import takewhile
@@ -25,7 +27,7 @@ from supercongruences.suite import (
     run_suite,
     to_json,
 )
-from supercongruences.verifiers import Case, Report
+from supercongruences.verifiers import Case, Report, verify_four_k_plus_one
 
 F = Fraction
 
@@ -152,6 +154,11 @@ class TestSuiteRun:
             assert a.case == b.case and a.lhs == b.lhs and a.rhs == b.rhs
             assert a.modulus == b.modulus and a.verdict == b.verdict
             assert a.elapsed == pytest.approx(b.elapsed) and a.note == b.note
+
+    def test_render_json_is_to_json(self):
+        reports = run_suite(TINY)
+        assert render(reports, "json") == to_json(reports)
+        assert from_json(render(reports, "json")) == reports
 
     def test_default_suite_reports_pinned(self):
         # sha256 of the default suite's JSON without elapsed_ms, dumped with
@@ -394,6 +401,12 @@ class TestSuiteCommand:
         assert cli.main(["suite", "--p-max", "7", "--jobs", "-3"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    def test_bad_d_set_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["suite", "--d-set", "3,x"])
+        assert exc.value.code == 2
+        assert "not a comma-separated int list: '3,x'" in capsys.readouterr().err
+
     def test_bad_strength_is_suite_config_error(self, capsys):
         assert cli.main(["suite", "--p-max", "7", "--max-strength", "1"]) == 2
         assert capsys.readouterr().err == "error: max_strength must be 2 or 3, got 1\n"
@@ -579,3 +592,49 @@ class TestPrimesCommand:
     def test_positive_class(self, capsys):
         assert cli.main(["primes", "--residue", "1", "--modulus", "4", "--limit", "20"]) == 0
         assert capsys.readouterr().out.strip() == "5 13 17"
+
+    def test_zero_modulus_exit_two(self, capsys):
+        assert cli.main(["primes", "--residue", "1", "--modulus", "0", "--limit", "20"]) == 2
+        assert "modulus must be positive, got 0" in capsys.readouterr().err
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Python's int/str digit limit lowered to ``limit`` (640 at least) for
+    the block, and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7")
+class TestExactSidesPastDigitLimit:
+    """Exact sides are written in full and read back at any length. With the
+    limit at 640 digits, four-k-plus-one at n = 600 has sides of about 720."""
+
+    N = 600
+
+    def test_report_formats_round_trip(self):
+        with int_str_digits(640):
+            report = verify_four_k_plus_one(self.N)
+            with pytest.raises(ValueError):
+                str(report.lhs.numerator)
+            assert from_json(render([report], "json")) == [report]
+            [row] = list(csv.reader(io.StringIO(render([report], "csv"))))[1:]
+            assert row[6] == row[7]
+            plain = render([report], "plain")
+        assert F(row[6]) == report.lhs
+        assert f"lhs = {report.lhs}  rhs = {report.rhs}" in plain
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_verify_exit_zero(self, capsys, fmt):
+        with int_str_digits(640):
+            assert cli.main(["verify", "four-k-plus-one", "--n", str(self.N), "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                [back] = from_json(f"[{out}]")
+                assert back.verdict and back.lhs == back.rhs
+        assert str(verify_four_k_plus_one(self.N).lhs) in out

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from supercongruences.exact import (
     binomial,
     check_harmonic_shift,
     factorial,
+    int_text,
+    parse_int,
     pochhammer,
+    rational_text,
     shifted_harmonic,
 )
 
@@ -73,6 +77,32 @@ class TestPochhammer:
         x = F(num, den)
         got = pochhammer(x, n)
         assert type(got) is F and got == naive_pochhammer(x, n)
+
+
+class TestTextCodec:
+    @given(st.integers(), st.integers(min_value=1))
+    def test_rational_text_is_str_below_the_limit(self, num, den):
+        q = F(num, den)
+        assert rational_text(q) == str(q)
+        assert F(parse_int(rational_text(q.numerator)), q.denominator) == q
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7")
+    def test_past_the_limit(self):
+        values = [7**6000 + 2, -(10**5000) - 7]  # 5,071 and 5,001 digits
+        texts = [int_text(v) for v in values]
+        assert [parse_int(t) for t in texts] == values
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # 0 lifts the limit
+        try:
+            assert texts == [str(v) for v in values]
+            assert rational_text(F(values[1], 3**9000)) == str(F(values[1], 3**9000))
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("text", ["", "12a", "--3", "1/2", "1" * 5000 + "x"])
+    def test_parse_int_rejects_non_integers(self, text):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 class TestFactorialBinomial:

@@ -200,6 +200,11 @@ class TestResidue:
         assert Residue(24, ctx).centered() == -1
         assert Residue(3, ctx).centered() == 3
 
+    def test_equal_residues_hash_equal(self):
+        ctx = PrimePower(5, 2)
+        assert Residue(3, ctx) == Residue(28, ctx) and hash(Residue(3, ctx)) == hash(Residue(28, ctx))
+        assert len({Residue(3, ctx), Residue(-22, ctx), Residue(3, PrimePower(5, 1))}) == 2
+
     def test_at_precision(self):
         r = Residue(48, PrimePower(7, 2))
         assert r.at_precision(1) == Residue(6, PrimePower(7, 1))
@@ -220,10 +225,18 @@ class TestLeastNonnegResidue:
         with pytest.raises(NonIntegralDenominator):
             least_nonneg_residue(F(1, 5), 5)
 
+    def test_rejects_p_not_an_odd_prime(self):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            least_nonneg_residue(1, 9)
+
 
 class TestGammaInteger:
     def test_at_zero(self):
         assert gamma_p_int(0, PrimePower(5, 2)) == 1
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="gamma_p_int needs n >= 0, got -1"):
+            gamma_p_int(-1, PrimePower(5, 2))
 
     def test_at_one(self):
         # empty product with sign (-1)^1
