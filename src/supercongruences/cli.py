@@ -6,7 +6,8 @@ within bounds), ``scan`` (conjecture integrality scan), ``primes``
 
 Exit codes, mutually exclusive:
   0 all checks pass
-  1 a verification failed (a congruence did not hold)
+  1 a verification failed (a congruence did not hold, or a side is not
+    p-integral: a report with a ``finding:`` note)
   2 usage or hypothesis error, or a file that cannot be read or written
   3 conjecture scan found a non-integral cell (a finding, not a failure)
 
@@ -122,8 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise HypothesisViolated(reason)
     with _open_out(args.out) as out:
         report = run_case(case)
-        fmt = args.format
-        _write(out, json.dumps(report.to_dict(), indent=2) if fmt == "json" else render([report], fmt))
+        _write(out, render([report], args.format))
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 

@@ -23,7 +23,7 @@ from .errors import CongruenceError, HypothesisViolated
 from .exact import int_text, rational_text
 # primes_in_class is unused here but stays bound: bench/tracing.py wraps it by name
 from .primes import odd_primes_up_to, primes_in_class
-from .verifiers import KINDS, Case, Report, admissible, run_case
+from .verifiers import KINDS, Case, Report, run_case
 
 DEFAULT_SUN_ALPHAS = (
     Fraction(1, 2),
@@ -55,7 +55,6 @@ class SuiteConfig:
     harmonic_p_max: int = 60
     identity_n_max: int = 100
     three_series_trunc: int = 12
-    deformed_pairs: tuple[tuple[int, int], ...] = DEFAULT_DEFORMED_PAIRS
     deformed_samples: int = 10
     seed: int = 0
     jobs: int = 1
@@ -69,10 +68,6 @@ class SuiteConfig:
             raise ValueError(f"max_strength must be 2 or 3, got {self.max_strength}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        for d, p in self.deformed_pairs:
-            reason = admissible(Case("km-deformed", d=d, p=p, x=Fraction(0), y=Fraction(0)))
-            if reason:
-                raise ValueError(f"deformed pair (d={d}, p={p}): {reason}")
 
 
 def _deformed_points(cfg: SuiteConfig) -> list[tuple[Fraction, Fraction]]:
@@ -107,7 +102,7 @@ def _candidates(cfg: SuiteConfig) -> Iterator[tuple[str, dict]]:
     for d in cfg.d_set:
         yield from (("three-series", dict(d=d, n=t)) for t in range(cfg.three_series_trunc + 1))
     points = _deformed_points(cfg)
-    for d, p in cfg.deformed_pairs:
+    for d, p in DEFAULT_DEFORMED_PAIRS:
         yield from (("km-deformed", dict(d=d, p=p, x=x, y=y)) for x, y in points)
 
 

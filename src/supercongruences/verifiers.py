@@ -7,6 +7,10 @@ PrimePower(p, k) and returns ``(lhs, rhs[, note])``. The wrapper the
 decorator puts in its place validates the hypotheses first (raising
 HypothesisViolated on a usage error) and returns a Report carrying both
 sides and the modulus; a bare boolean would make failures undiagnosable.
+A body may let NonIntegralDenominator propagate: the wrapper turns a side
+that is not p-integral into a failing Report with a ``finding:`` note, so
+every mathematical outcome is a Report and run_case raises only for usage
+errors and bugs.
 
 Case kinds, in registration (``KINDS``) order:
 
@@ -217,7 +221,9 @@ def _kind(name: str, check: Callable[..., None], k: int | Callable[..., int] | N
     The body takes the kind's parameters, plus a keyword-only ``ctx`` (the
     PrimePower(p, k)) unless the kind is exact, and returns (lhs, rhs[, note]);
     the wrapper builds the Case, runs ``check``, builds ``ctx``, times the
-    body and reports the modulus and the verdict ``lhs == rhs and not note``."""
+    body and reports the modulus and the verdict ``lhs == rhs and not note``.
+    A NonIntegralDenominator from the body is reported as sides None and the
+    note ``finding: <message>``."""
 
     def register(body: Callable[..., tuple]) -> Callable[..., Report]:
         signature = inspect.signature(body)
@@ -237,7 +243,10 @@ def _kind(name: str, check: Callable[..., None], k: int | Callable[..., int] | N
             check(*args)
             ctx = None if k is None else PrimePower(case.p, k(*args) if callable(k) else k)
             t0 = perf_counter()
-            lhs, rhs, *note = body(*args) if ctx is None else body(*args, ctx=ctx)
+            try:
+                lhs, rhs, *note = body(*args) if ctx is None else body(*args, ctx=ctx)
+            except NonIntegralDenominator as exc:
+                lhs, rhs, note = None, None, [f"finding: {exc}"]
             note = note[0] if note else ""
             modulus = "exact" if ctx is None else str(ctx)
             return Report(case, lhs, rhs, modulus, lhs == rhs and not note, perf_counter() - t0, note)
@@ -381,16 +390,6 @@ def verify_guo_central(p: int, r: int, *, ctx: PrimePower) -> tuple:
     return lhs, rhs
 
 
-def _harmonic_mod_p(spec: SeriesSpec, c1: int, c2: int, rhs_exact: Fraction, ctx: PrimePower) -> tuple:
-    """The harmonic-difference sum folded mod p and the exact rhs reduced. A
-    non-p-integral side is surfaced as a failing report with a ``finding:``
-    note (it would contradict the integrality the closed forms assume)."""
-    try:
-        return harmonic_weighted_mod(spec, c1, c2, ctx), reduce_mod(rhs_exact, ctx)
-    except NonIntegralDenominator as exc:
-        return None, None, f"finding: {exc}"
-
-
 @_kind("harmonic-even", _require_guo_even, k=1)
 def verify_harmonic_even(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """The harmonic-difference weighted sum over (m-1)_k (m+1)_k^{d-1},
@@ -400,7 +399,7 @@ def verify_harmonic_even(d: int, p: int, *, ctx: PrimePower) -> tuple:
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 2) * factorial(m) ** (d - 1)) * (
         Fraction(1, m) + Fraction(1, m - 1)
     )
-    return _harmonic_mod_p(spec, m - 1, m + 1, rhs_exact, ctx)
+    return harmonic_weighted_mod(spec, m - 1, m + 1, ctx), reduce_mod(rhs_exact, ctx)
 
 
 @_kind("harmonic-odd", _require_guo_odd, k=1)
@@ -410,7 +409,7 @@ def verify_harmonic_odd(d: int, p: int, *, ctx: PrimePower) -> tuple:
     m = (p + 1) // d
     spec = series([m, m] + [m + 1] * (d - 2), [1] * (d - 1), 1, p - 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 1) * factorial(m) ** (d - 1))
-    return _harmonic_mod_p(spec, m, m + 1, rhs_exact, ctx)
+    return harmonic_weighted_mod(spec, m, m + 1, ctx), reduce_mod(rhs_exact, ctx)
 
 
 def _require_four_k_plus_one(n: int) -> None:

@@ -17,7 +17,8 @@ import pytest
 import supercongruences.cli as cli
 import supercongruences.scan as scan_mod
 import supercongruences.suite as suite_mod
-from supercongruences.errors import CongruenceError
+import supercongruences.verifiers as verifiers_mod
+from supercongruences.errors import CongruenceError, NonIntegralDenominator
 from supercongruences.suite import (
     SuiteConfig,
     all_pass,
@@ -27,12 +28,13 @@ from supercongruences.suite import (
     run_suite,
     to_json,
 )
-from supercongruences.verifiers import Case, Report, verify_four_k_plus_one
+from supercongruences.verifiers import Case, Report, admissible, verify_four_k_plus_one
 
 F = Fraction
 
 SMALL = SuiteConfig(p_max=20, d_set=(3, 4), r_max=1, sun_p_max=13, identity_n_max=10)
-TINY = SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_pairs=(), deformed_samples=1)
+# deformed_samples=0: no km-deformed cases; test_json_round_trip covers those
+TINY = SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_samples=0)
 
 
 class RecordingPool:
@@ -67,6 +69,17 @@ def recording_pool(monkeypatch):
     return RecordingPool
 
 
+@pytest.fixture
+def non_integral_series(monkeypatch):
+    """Every plain series sum mod p^k raises NonIntegralDenominator, as a
+    sum that is not p-integral would."""
+
+    def evaluate_mod(spec, ctx):
+        raise NonIntegralDenominator(f"sum is not p-integral at p={ctx.p}: v_p(sum) = -1")
+
+    monkeypatch.setattr(verifiers_mod, "evaluate_mod", evaluate_mod)
+
+
 class TestSuiteEnumeration:
     def test_pure_function_of_config(self):
         assert enumerate_cases(SMALL) == enumerate_cases(SMALL)
@@ -85,6 +98,12 @@ class TestSuiteEnumeration:
                 assert c.d % 2 == 0 and c.p % c.d == c.d - 1 and c.p >= 2 * c.d - 1
             if c.kind == "combined":
                 assert c.p != c.d - 1
+
+    def test_default_deformed_pairs_admissible(self):
+        assert all(
+            admissible(Case("km-deformed", d=d, p=p, x=F(0), y=F(0))) is None
+            for d, p in suite_mod.DEFAULT_DEFORMED_PAIRS
+        )
 
     def test_seed_changes_sampled_points(self):
         a = enumerate_cases(SuiteConfig(seed=0))
@@ -106,8 +125,6 @@ class TestSuiteEnumeration:
             ({"max_strength": 5}, "max_strength must be 2 or 3"),
             ({"jobs": 0}, "jobs must be >= 1"),
             ({"jobs": -3}, "jobs must be >= 1"),
-            ({"deformed_pairs": ((4, 7), (4, 13))}, r"deformed pair \(d=4, p=13\): need p ≡ -1 \(mod 4\)"),
-            ({"deformed_pairs": ((5, 9),)}, "need even d >= 4, got 5"),
         ],
     )
     def test_config_rejects(self, bad, message):
@@ -147,7 +164,7 @@ class TestSuiteRun:
         assert reports and all_pass(reports)
 
     def test_json_round_trip(self):
-        reports = run_suite(SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=3, three_series_trunc=3, deformed_pairs=((4, 7),), deformed_samples=2))
+        reports = run_suite(SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=3, three_series_trunc=3, deformed_samples=2))
         back = from_json(to_json(reports))
         assert back == reports
         for a, b in zip(back, reports):
@@ -173,8 +190,16 @@ class TestSuiteRun:
             "11c8bfb0f908040c45ccb5cd277f5cc3bd183fe7c17964fdb6ca23e53970127f"
         )
 
+    def test_finding_is_reported_not_raised(self, non_integral_series):
+        reports = run_suite(TINY)
+        assert [r.case for r in reports] == enumerate_cases(TINY)
+        findings = [r for r in reports if r.note.startswith("finding:")]
+        assert {r.case.kind for r in findings} == {"rv", "sun", "dflst", "guo-odd", "liu", "combined"}
+        assert not any(r.verdict for r in findings)
+        assert all(r.verdict for r in reports if r not in findings)
+
     def test_csv_has_fixed_header(self):
-        reports = run_suite(SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_pairs=(), deformed_samples=1))
+        reports = run_suite(TINY)
         rows = list(csv.reader(io.StringIO(render(reports, "csv"))))
         assert rows[0] == ["case_id", "d", "p", "r", "n", "modulus", "lhs", "rhs", "verdict", "elapsed_ms"]
         assert len(rows) == len(reports) + 1
@@ -187,12 +212,12 @@ class TestSuiteRun:
         assert "48 (= -1)" in text  # canonical value plus small centered form
 
     def test_plain_render_mentions_counts(self):
-        reports = run_suite(SuiteConfig(p_max=7, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=2, three_series_trunc=2, deformed_pairs=(), deformed_samples=1))
+        reports = run_suite(TINY)
         text = render(reports, "plain")
         assert f"{len(reports)}/{len(reports)} cases pass" in text
 
     def test_parallel_matches_serial(self):
-        cfg = SuiteConfig(p_max=13, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=3, three_series_trunc=2, deformed_pairs=(), deformed_samples=1)
+        cfg = SuiteConfig(p_max=13, d_set=(3,), r_max=1, sun_p_max=5, identity_n_max=3, three_series_trunc=2, deformed_samples=1)
         serial = run_suite(cfg)
         parallel = run_suite(SuiteConfig(**{**cfg.__dict__, "jobs": 2}))
         assert serial == parallel
@@ -291,9 +316,9 @@ class TestVerifyCommand:
 
     def test_json_output(self, capsys):
         assert cli.main(["verify", "rv", "--p", "7", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["verdict"] == "pass" and data["case"]["kind"] == "rv"
-        assert Report.from_dict(data).lhs.value == 48
+        [report] = from_json(capsys.readouterr().out)
+        assert report.verdict and report.case == Case("rv", p=7)
+        assert report.lhs.value == 48
 
     def test_hypothesis_error_exit_two(self, capsys):
         assert cli.main(["verify", "guo-even", "--d", "5", "--p", "9"]) == 2
@@ -317,6 +342,11 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "run_case", lambda case: failing)
         assert cli.main(["verify", "rv", "--p", "5"]) == 1
 
+    def test_finding_exit_one(self, non_integral_series, capsys):
+        assert cli.main(["verify", "dflst", "--d", "3", "--p", "7"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL  dflst") and "[finding: sum is not p-integral at p=7" in out
+
     def test_alpha_parsing(self):
         assert cli.main(["verify", "sun", "--alpha", "2/5", "--p", "7"]) == 0
 
@@ -328,7 +358,8 @@ class TestVerifyCommand:
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
         assert cli.main(["verify", "liu", "--p", "5", "--r", "1", "--format", "json", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["verdict"] == "pass"
+        [report] = from_json(out.read_text())
+        assert report.verdict and report.case == Case("liu", p=5, r=1)
 
 
 class TestFileErrors:
@@ -635,6 +666,6 @@ class TestExactSidesPastDigitLimit:
             assert cli.main(["verify", "four-k-plus-one", "--n", str(self.N), "--format", fmt]) == 0
             out = capsys.readouterr().out
             if fmt == "json":
-                [back] = from_json(f"[{out}]")
+                [back] = from_json(out)
                 assert back.verdict and back.lhs == back.rhs
         assert str(verify_four_k_plus_one(self.N).lhs) in out

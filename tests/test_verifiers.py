@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import supercongruences.hypergeom as hypergeom_mod
 import supercongruences.verifiers as verifiers_mod
-from supercongruences.errors import HypothesisViolated
+from supercongruences.errors import HypothesisViolated, NonIntegralDenominator
 from supercongruences.exact import factorial, pochhammer
 from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact, series
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
@@ -493,6 +493,17 @@ class TestReportsAndDispatch:
         report = verify_harmonic_even(4, 7)
         assert not report.verdict and report.lhs is None and report.rhs is None
         assert report.note == "finding: sum is not p-integral at p=7: v_p(sum) = -1"
+
+    def test_non_p_integral_side_is_a_finding_in_every_kind(self, monkeypatch):
+        # the wrapper, not the body, turns the error into a failing report
+        def non_integral(spec, ctx):
+            raise NonIntegralDenominator(f"sum is not p-integral at p={ctx.p}: v_p(sum) = -1")
+
+        monkeypatch.setattr(verifiers_mod, "evaluate_mod", non_integral)
+        report = run_case(Case("dflst", d=3, p=7))
+        assert not report.verdict and report.lhs is None and report.rhs is None
+        assert report.note == "finding: sum is not p-integral at p=7: v_p(sum) = -1"
+        assert report.modulus == "7^2" and report.case == Case("dflst", d=3, p=7, strength=2)
 
     def test_termwise_failure_fails_the_report(self, monkeypatch):
         # squaring every term breaks the linear relation termwise; the sums
