@@ -39,7 +39,7 @@ def binomial(n: int, k: int) -> int:
 
 def zero_shift(c: Fraction, k: int) -> int | None:
     """The j in [0, k) with c + j = 0, or None: c is then an integer in (-k, 0]."""
-    return -c.numerator if c.denominator == 1 and -k < c <= 0 else None
+    return -c.numerator if c.denominator == 1 and -k < c.numerator <= 0 else None
 
 
 def check_harmonic_shift(c: Fraction, k: int) -> None:

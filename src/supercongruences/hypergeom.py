@@ -14,13 +14,21 @@ the steps pairwise up a balanced tree and builds a single ``Fraction``
 (one gcd) at the end; ``terms`` yields the terms one by one from the same
 integer ratios.
 
+Each parameter a = u/v enters every step through the linear form
+u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
+k + 1 of k!) are grouped once per spec into (form, multiplicity), and
+each distinct form is one lazy ``map`` raised to its multiplicity.
+
 A sum mod p^k folds the same steps instead, over one common denominator
 e (the starting weight's denominator times every Q(k) D(k), k < n) that
 is divided out once at the end. V = v_p(e) comes in closed form from the
 linear forms of the parameters, and the fold runs mod p^(k+V): the sum
-(acc + v)/e is p-integral exactly when p^V divides acc + v, and its
-residue is then (acc + v)/p^V times the inverse of the unit e/p^V. That
-is O(n) steps on numbers of about (k+V) log2 p bits. Where V is small
+h/e is p-integral exactly when p^V divides h, and its residue is then
+h/p^V times the inverse of the unit e/p^V. That is O(n) steps on numbers
+of about (k+V) log2 p bits. A weighted sum folds forward, carrying
+(t, v, acc) with h = acc + v. A plain sum folds by Horner from the last
+step, sum_(j>=k) t_j/t_k = 1 + P(k)/Q(k) sum_(j>k) t_j/t_(k+1): two
+products per step, and the same h and e at the end. Where V is small
 next to n this beats the exact tree by far; at V near n/2 (the central
 sum through p^6 - 1 at p = 5) the two cost about the same. The exact tree
 serves the exact sums, and is the oracle the tests hold the fold to.
@@ -28,17 +36,33 @@ serves the exact sums, and is the oracle the tests hold the fold to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from itertools import repeat
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NonIntegralDenominator, ZeroLowerPochhammer
 # shifted_harmonic and reduce_mod are unused here but stay bound: bench/tracing.py wraps them by name
 from .exact import RationalLike, check_harmonic_shift, shifted_harmonic, zero_shift
 from .padic import PrimePower, Residue, reduce_mod, valuation
+
+
+# Linear forms (u, v), each standing for u + v k, with their multiplicities.
+Forms = tuple[tuple[tuple[int, int], int], ...]
+
+
+def _grouped(forms: Iterable[tuple[int, int]]) -> Forms:
+    """Equal forms merged, in first-seen order, with their counts."""
+    counts: dict[tuple[int, int], int] = {}
+    for form in forms:
+        counts[form] = counts.get(form, 0) + 1
+    return tuple(counts.items())
+
+
+def _fraction(x: RationalLike) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -47,18 +71,21 @@ class SeriesSpec:
 
     Construction rejects any lower parameter whose Pochhammer vanishes at
     or below the truncation index, turning a latent division by zero into
-    an immediate error.
+    an immediate error. ``forms`` holds the grouped linear forms of the
+    upper and lower factors: a + k = (u + v k) / v for a = u/v, and the
+    lower ones end with the (1, 1) of the k + 1 of k!.
     """
 
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
     z: Fraction
     n: int
+    forms: tuple[Forms, Forms] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        object.__setattr__(self, "z", Fraction(self.z))
+        object.__setattr__(self, "upper", tuple(map(_fraction, self.upper)))
+        object.__setattr__(self, "lower", tuple(map(_fraction, self.lower)))
+        object.__setattr__(self, "z", _fraction(self.z))
         if len(self.upper) != len(self.lower) + 1:
             raise ValueError(
                 f"need one more upper than lower parameter, got "
@@ -72,36 +99,39 @@ class SeriesSpec:
                 raise ZeroLowerPochhammer(
                     f"lower parameter {b} has ({b})_{j + 1} = 0 within truncation {self.n}"
                 )
+        upper = _grouped((a.numerator, a.denominator) for a in self.upper)
+        lower = _grouped([*((b.numerator, b.denominator) for b in self.lower), (1, 1)])
+        object.__setattr__(self, "forms", (upper, lower))
 
 
 # The constructor by its short name; SeriesSpec coerces ints and Fractions itself.
 series = SeriesSpec
 
 
-def _forms(spec: SeriesSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The linear forms (u, v) of the upper and lower factors: a + k =
-    (u + v k) / v for a = u/v; the trailing (1, 1) is the k+1 of k!."""
-    upper = [(a.numerator, a.denominator) for a in spec.upper]
-    lower = [(b.numerator, b.denominator) for b in spec.lower] + [(1, 1)]
-    return upper, lower
+def _den_product(forms: Forms) -> int:
+    """The product of the v^mult: each factor a + k is (u + v k) / v."""
+    return prod(v**mult for (_, v), mult in forms)
 
 
-def _ratios(spec: SeriesSpec) -> tuple[Iterator[int], Iterator[int]]:
-    """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only:
-    SeriesSpec guarantees b + k != 0 there, not at n."""
+def _ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterator[int]]:
+    """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only
+    (SeriesSpec guarantees b + k != 0 there, not at n); k counts up, or
+    down from n - 1 for order = -1."""
     n = spec.n
-    upper, lower = _forms(spec)
-    ps = _linear_products(spec.z.numerator * prod(den for _, den in lower), upper, n)
-    qs = _linear_products(spec.z.denominator * prod(den for _, den in upper), lower, n)
+    upper, lower = spec.forms
+    ps = _linear_products(spec.z.numerator * _den_product(lower), upper, n, order)
+    qs = _linear_products(spec.z.denominator * _den_product(upper), lower, n, order)
     return ps, qs
 
 
-def _linear_products(const: int, forms: Sequence[tuple[int, int]], n: int) -> Iterator[int]:
-    """const * prod(u + v*k for (u, v) in forms) for k in range(n), lazily,
-    one chained map per factor (v > 0)."""
+def _linear_products(const: int, forms: Forms, n: int, order: int = 1) -> Iterator[int]:
+    """const * prod((u + v*k)**mult for ((u, v), mult) in forms) for k in
+    range(n), lazily, k counting up (order = 1) or down (order = -1); one
+    chained map per distinct form."""
     values: Iterator[int] = repeat(const, n)
-    for u, v in forms:
-        values = map(mul, values, range(u, u + v * n, v))
+    for (u, v), mult in forms:
+        factors = range(u, u + v * n, v)[::order]
+        values = map(mul, values, factors if mult == 1 else map(pow, factors, repeat(mult)))
     return values
 
 
@@ -159,7 +189,7 @@ def _weighted_sum(
     guaranteed finite there (SeriesSpec checks b + j for j < n), not at n.
     """
     ps, qs = _ratios(spec)
-    ds = _linear_products(step_den, step_forms, spec.n)
+    ds = _linear_products(step_den, _grouped(step_forms), spec.n)
     # products of 2^j consecutive steps, earliest first, sizes strictly
     # decreasing: equal neighbours merge as each step arrives, so the
     # tree stays balanced and only O(log n) products are alive at a time
@@ -189,15 +219,26 @@ def _steps_valuation(
     otherwise the multiples of p^j are the k < n in the class root_j =
     -u/v mod p^j, and root_j grows with j until it passes n."""
     n = spec.n
-    upper, lower = _forms(spec)
-    const = spec.z.denominator * step_den * prod(den for _, den in upper)
+    upper, lower = spec.forms
+    const = spec.z.denominator * step_den * _den_product(upper)
     total = valuation(w0.denominator, p) + n * valuation(const, p)
-    for u, v in (*lower, *step_forms):
+    for (u, v), mult in (*lower, *_grouped(step_forms)):
         q = p
         while v % p and (root := -u * pow(v, -1, q) % q) < n:
-            total += (n - 1 - root) // q + 1
+            total += mult * ((n - 1 - root) // q + 1)
             q *= p
     return total
+
+
+def _divide_out(h: int, e: int, big_v: int, ctx: PrimePower) -> Residue:
+    """h / e mod p^k from h and e held mod p^(k+V), where v_p(e) = V;
+    NonIntegralDenominator when p^V does not divide h."""
+    p = ctx.p
+    scale = p**big_v
+    if h % scale:
+        value = valuation(h, p) - big_v
+        raise NonIntegralDenominator(f"sum is not p-integral at p={p}: v_p(sum) = {value}")
+    return Residue(h // scale * pow(e // scale, -1, ctx.modulus), ctx)
 
 
 def _weighted_mod(
@@ -212,12 +253,10 @@ def _weighted_mod(
     over one common denominator e: (t, v, acc) / e = (t_k, w_k t_k,
     sum_{j<k} w_j t_j), mod p^(k+V) for V = v_p(e). NonIntegralDenominator
     when p^V does not divide acc + v, i.e. the sum is not p-integral."""
-    p = ctx.p
-    big_v = _steps_valuation(spec, p, w0, step_den, step_forms)
-    scale = p**big_v
-    m = ctx.modulus * scale
+    big_v = _steps_valuation(spec, ctx.p, w0, step_den, step_forms)
+    m = ctx.modulus * ctx.p**big_v
     ps, qs = _ratios(spec)
-    ds = _linear_products(step_den, step_forms, spec.n)
+    ds = _linear_products(step_den, _grouped(step_forms), spec.n)
     t, v, acc, e = w0.denominator, w0.numerator, 0, w0.denominator
     for num, den, dk in zip(ps, qs, ds):
         pd, qd = num * dk, den * dk
@@ -225,11 +264,7 @@ def _weighted_mod(
         v = (v * pd + t * num * step_num) % m
         t = t * pd % m
         e = e * qd % m
-    total = (acc + v) % m
-    if total % scale:
-        value = valuation(total, p) - big_v
-        raise NonIntegralDenominator(f"sum is not p-integral at p={p}: v_p(sum) = {value}")
-    return Residue(total // scale * pow(e // scale, -1, ctx.modulus), ctx)
+    return _divide_out((acc + v) % m, e, big_v, ctx)
 
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
@@ -238,10 +273,18 @@ def evaluate_exact(spec: SeriesSpec) -> Fraction:
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """The truncated sum mod p^k, folded. NonIntegralDenominator when the
-    exact value is not p-integral: the congruence being probed is then
-    ill-posed for these parameters."""
-    return _weighted_mod(spec, ctx, Fraction(1))
+    """The truncated sum mod p^k, folded by Horner from the last step:
+    h/e = sum_(j>=k) t_j/t_k over e = Q(k)...Q(n-1), mod p^(k+V). The fold
+    ends on the h and e of ``_weighted_mod`` at w0 = 1. NonIntegralDenominator
+    when the exact value is not p-integral: the congruence being probed is
+    then ill-posed for these parameters."""
+    big_v = _steps_valuation(spec, ctx.p, Fraction(1))
+    m = ctx.modulus * ctx.p**big_v
+    h = e = 1
+    for num, den in zip(*_ratios(spec, -1)):
+        e = e * den % m
+        h = (e + num * h) % m
+    return _divide_out(h, e, big_v, ctx)
 
 
 @dataclass(frozen=True)

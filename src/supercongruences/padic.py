@@ -8,22 +8,29 @@ rational argument x is evaluated at its canonical representative in
 [0, p^k).
 
 The product is taken in blocks of p (after Bostan, Gaudry and Schost,
-SIAM J. Comput. 2007), with the blocks summed in closed form. For
-n = A p + b it is f(0) f(p) ... f((A-1) p) times the tail F_(b-1)(A p),
-where F_t(x) = (x + 1)...(x + t) and f = F_(p-1). Since x^i ≡ 0 (mod p^k)
-for x in pZ_p and i >= k, only the k lowest coefficients of each F_t
-matter, and one pass over t = 1..p-1 yields both the tail and f. With
-g = f / f(0), each block is f(0) g(a p), and the product of the g(a p)
-over a < A is exp(L), where L = sum_j l_j p^j S_j(A) runs over the
-coefficients l_j of log g with 1 <= j < k and the power sums
-S_j(A) = sum_(a<A) a^j. L is divisible by p, so k terms of exp suffice.
-The cost is O(p k + k^3), whatever n is.
+SIAM J. Comput. 2007). For n = A p + b it is f(0) f(p) ... f((A-1) p)
+times the tail F_(b-1)(A p), where F_t(x) = (x + 1)...(x + t) and
+f = F_(p-1); the tail and f(0) = (p-1)! are products of ranges, reduced
+every 64 factors. For k <= 3 every block is f(0) mod p^k by Wolstenholme's
+theorem (H_(p-1) ≡ 0 mod p^2 and H^(2)_(p-1) ≡ 0 mod p for p >= 5, so the
+coefficients of x and x^2 in f / f(0) vanish mod p^2 and p), and the
+product is f(0)^A times the tail: O(p) factors, all multiplied in C.
+
+For k >= 4 the blocks are summed in closed form. Since x^i ≡ 0 (mod p^k)
+for x in pZ_p and i >= k, only the k lowest coefficients of f matter,
+and one pass over t = 1..p-1 yields them. With g = f / f(0), each block
+is f(0) g(a p), and the product of the g(a p) over a < A is exp(L), where
+L = sum_j l_j p^j S_j(A) runs over the coefficients l_j of log g with
+1 <= j < k and the power sums S_j(A) = sum_(a<A) a^j. L is divisible by
+p, so k terms of exp suffice. The cost is O(p k + k^3), whatever n is.
 
 The truncations need p > k: the divisions by j and t are then by units,
-and the dropped log and exp terms vanish mod p^k. The closed form is
-used for p > k + 1. Below that p^k is tiny, and the product is taken
-factor by factor up to n mod p^k: the units mod p^k multiply to -1, so
-each whole period below n contributes -1.
+and the dropped log and exp terms vanish mod p^k. Both block rules are
+used for p > k + 1, so p >= 5 at k = 2 and 3, where Wolstenholme is
+needed (at k = 1 every block is (p-1)! mod p outright). Below that p^k
+is tiny, and the product is taken factor by factor up to n mod p^k: the
+units mod p^k multiply to -1, so each whole period below n contributes
+-1.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from .primes import is_prime
 
 def valuation(q: Fraction | int, p: int) -> int | float:
     """Exact p-adic valuation of a rational; valuation(0) is +infinity."""
-    q = Fraction(q)
+    if not isinstance(q, int):
+        q = Fraction(q)
     if q == 0:
         return math.inf
 
@@ -173,6 +181,16 @@ def least_nonneg_residue(x: Fraction | int, p: int) -> int:
     return reduce_mod(x, PrimePower(p, 1)).value
 
 
+def _range_product(lo: int, hi: int, m: int) -> int:
+    """prod(range(lo, hi)) mod m, reduced after every 64 factors: one
+    math.prod over the whole range (or math.factorial) would build the
+    full product, hundreds of times longer than m, before reducing it."""
+    acc = 1
+    for start in range(lo, hi, 64):
+        acc = acc * math.prod(range(start, min(start + 64, hi))) % m
+    return acc
+
+
 def _unit_product(n: int, ctx: PrimePower) -> int:
     """Product of 1 <= j < n with p not dividing j, reduced mod p^k."""
     p, k, m = ctx.p, ctx.k, ctx.modulus
@@ -180,19 +198,18 @@ def _unit_product(n: int, ctx: PrimePower) -> int:
     sign = -1 if periods % 2 else 1
     if p <= k + 1:
         return sign * math.prod(j for j in range(1, n) if j % p) % m
-    blocks, b = divmod(n, p)
-
-    def times_rising(c: list[int], lo: int, hi: int) -> None:
-        # c <- c (x + lo)...(x + hi - 1), keeping the k lowest coefficients
-        for t in range(lo, hi):
-            for i in range(k - 1, 0, -1):
-                c[i] = (c[i] * t + c[i - 1]) % m
-            c[0] = c[0] * t % m
-
+    blocks = n // p
+    tail = _range_product(blocks * p + 1, n, m)
+    if k <= 3:
+        # Wolstenholme: H_(p-1) ≡ 0 (mod p^2) and H^(2)_(p-1) ≡ 0 (mod p)
+        # for p >= 5, so f(x) ≡ f(0) (mod p^3) on pZ_p and every block is (p-1)!
+        return sign * pow(_range_product(1, p, m), blocks, m) * tail % m
+    # the k lowest coefficients of f = (x + 1)...(x + p - 1)
     c = [1] + [0] * (k - 1)
-    times_rising(c, 1, b)
-    tail = sum(ci * pow(blocks * p, i, m) for i, ci in enumerate(c)) % m
-    times_rising(c, max(b, 1), p)
+    for t in range(1, p):
+        for i in range(k - 1, 0, -1):
+            c[i] = (c[i] * t + c[i - 1]) % m
+        c[0] = c[0] * t % m
     # g = f / f(0); w_j = j l_j from (log g)' g = g'
     inv_f0 = pow(c[0], -1, m)
     g = [ci * inv_f0 % m for ci in c]

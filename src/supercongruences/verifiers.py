@@ -447,8 +447,11 @@ def verify_three_series(d: int, n: int) -> tuple:
     sc = combined_series(d, n)
     lhs = evaluate_exact(sa) + (d - 1) * evaluate_exact(sb)
     rhs = d * evaluate_exact(sc)
+    # a + (d-1) b == d c, cross-multiplied: no Fraction built per term
     termwise = all(
-        a + (d - 1) * b == d * c for a, b, c in zip(terms(sa), terms(sb), terms(sc))
+        (a.numerator * b.denominator + (d - 1) * b.numerator * a.denominator) * c.denominator
+        == d * c.numerator * a.denominator * b.denominator
+        for a, b, c in zip(terms(sa), terms(sb), terms(sc))
     )
     return lhs, rhs, "" if termwise else "termwise identity fails"
 

@@ -1,8 +1,11 @@
 """Truncated series: terms, exact sums, modular reduction, weighted sums."""
 
 import random
+import re
 from fractions import Fraction
+from itertools import repeat
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
 from supercongruences.hypergeom import (
     AffineWeight,
+    _linear_products,
     _steps_valuation,
     _weighted_mod,
     affine_weighted_mod,
@@ -25,6 +29,8 @@ from supercongruences.hypergeom import (
     terms,
 )
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
+from supercongruences.primes import odd_primes_up_to
+from supercongruences.verifiers import combined_series, dflst_series, guo_even_series, guo_odd_series
 
 F = Fraction
 
@@ -514,3 +520,73 @@ class TestFoldRule:
         spec = series([F(1, 2), 1], [F(3, 7)], 1, 3)  # 3 + 7k is never 0 mod 7
         assert _steps_valuation(spec, 7, F(1)) == 0
         assert _steps_valuation(spec, 7, F(1), 1, [(15, 7)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# grouped factors and the verifier shapes that repeat parameters
+
+
+def chained_linear_products(const, forms, n):
+    """Test oracle: const * prod(u + v*k for (u, v) in forms) for k in
+    range(n), one chained map per factor, repeated or not (the library's
+    method before equal forms were grouped)."""
+    values = repeat(const, n)
+    for u, v in forms:
+        values = map(mul, values, range(u, u + v * n, v))
+    return values
+
+
+@st.composite
+def grouped_forms(draw):
+    """(const, forms, n): up to four distinct forms, each with a
+    multiplicity in 1..8."""
+    forms = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 6)), max_size=4, unique=True))
+    mults = [draw(st.integers(1, 8)) for _ in forms]
+    return draw(st.integers(-5, 5)), tuple(zip(forms, mults)), draw(st.integers(0, 30))
+
+
+VERIFIER_SHAPES = {
+    "dflst": dflst_series,
+    "guo-even": guo_even_series,
+    "guo-odd": guo_odd_series,
+    "combined": combined_series,
+}
+
+
+class TestGroupedFactors:
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_forms(), order=st.sampled_from([1, -1]))
+    def test_matches_one_map_per_factor(self, case, order):
+        const, forms, n = case
+        expanded = [form for form, mult in forms for _ in range(mult)]
+        if order == -1:
+            expanded = [(u + v * (n - 1), -v) for u, v in expanded]
+        assert list(_linear_products(const, forms, n, order)) == list(chained_linear_products(const, expanded, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(VERIFIER_SHAPES)),
+        d=st.integers(2, 8),
+        p=st.sampled_from(odd_primes_up_to(60)),
+        k=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_verifier_shapes_against_naive(self, shape, d, p, k, data):
+        # these repeat 1 - 1/d, 1 + 1/d and 1 up to d times, which mod_cases
+        # seldom draws; truncated at p - 1 as the verifiers do, or anywhere
+        n = data.draw(st.one_of(st.just(p - 1), st.integers(0, 60)))
+        spec = VERIFIER_SHAPES[shape](d, n)
+        ctx = PrimePower(p, k)
+        w = AffineWeight(data.draw(rationals), data.draw(rationals))
+        plain = naive_sum(spec.upper, spec.lower, spec.z, n)
+        weighted = naive_sum(spec.upper, spec.lower, spec.z, n, w.at)
+        assert outcome(lambda: evaluate_mod(spec, ctx)) == outcome(lambda: reduce_mod(plain, ctx))
+        assert outcome(lambda: affine_weighted_mod(w, spec, ctx)) == outcome(lambda: reduce_mod(weighted, ctx))
+        # the Horner fold ends where the forward fold does: same residue, same text
+        try:
+            forward = _weighted_mod(spec, ctx, F(1))
+        except NonIntegralDenominator as exc:
+            with pytest.raises(NonIntegralDenominator, match=re.escape(str(exc))):
+                evaluate_mod(spec, ctx)
+        else:
+            assert evaluate_mod(spec, ctx) == forward

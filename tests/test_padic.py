@@ -285,6 +285,36 @@ class TestGammaInteger:
         expected = (-1) ** n * block_unit_product(n, p, k) % ctx.modulus
         assert gamma_p_int(n, ctx).value == expected
 
+    def test_wolstenholme_blocks(self):
+        # every block f(a p) = (a p + 1)...(a p + p - 1) is (p-1)! mod p^3
+        # for p >= 5, which the k <= 3 path rests on; mod p^4 f(p) is not
+        # (up to the first Wolstenholme prime, 16843), so k >= 4 cannot
+        for p in odd_primes_up_to(200)[1:]:
+            f0 = factorial(p - 1)
+            for k in (1, 2, 3):
+                m = p**k
+                for a in range(40):
+                    assert math.prod(range(a * p + 1, a * p + p)) % m == f0 % m
+            assert math.prod(range(p + 1, 2 * p)) % p**4 != f0 % p**4
+
+    @pytest.mark.parametrize("p", [7, 13, 31, 59])
+    def test_closed_form_at_k5(self, p):
+        # the log/exp path beyond the k <= 4 the strategies above draw
+        ctx = PrimePower(p, 5)
+        rng = random.Random(p)
+        for n in [0, 1, p, p + 1, 40 * p - 1, *(rng.randrange(60_000) for _ in range(6))]:
+            assert gamma_p_int(n, ctx).value == (-1) ** n * block_unit_product(n, p, 5) % ctx.modulus
+
+    @pytest.mark.parametrize("p", [1009, 2003, 2999])
+    def test_matches_chunked_oracle_at_large_primes(self, p):
+        # the tail and (p-1)! each cross several 64-factor chunks
+        rng = random.Random(p)
+        for k in (1, 2, 3):
+            ctx = PrimePower(p, k)
+            for n in [p - 1, p, p + 65, 10 * p + p - 1, *(rng.randrange(11 * p) for _ in range(4))]:
+                expected = (-1) ** n * chunked_unit_product(n, p, ctx.modulus) % ctx.modulus
+                assert gamma_p_int(n, ctx).value == expected
+
 
 class TestGammaRational:
     def test_half_squared_is_minus_one(self):

@@ -26,6 +26,7 @@ from supercongruences.verifiers import (
     Report,
     admissible,
     central_series,
+    guo_odd_series,
     run_case,
     verify_combined,
     verify_dflst,
@@ -511,6 +512,22 @@ class TestReportsAndDispatch:
         real = verifiers_mod.terms
         monkeypatch.setattr(verifiers_mod, "terms", lambda spec: [t * t for t in real(spec)])
         report = verify_three_series(3, 4)
+        assert report.lhs == report.rhs
+        assert not report.verdict and report.note == "termwise identity fails"
+
+    def test_single_term_failure_fails_the_report(self, monkeypatch):
+        # only the last term of the guo-odd series changes; the sums are
+        # evaluated separately and still agree
+        real = verifiers_mod.terms
+
+        def terms(spec):
+            values = list(real(spec))
+            if spec == guo_odd_series(5, 6):
+                values[-1] += 1
+            return values
+
+        monkeypatch.setattr(verifiers_mod, "terms", terms)
+        report = verify_three_series(5, 6)
         assert report.lhs == report.rhs
         assert not report.verdict and report.note == "termwise identity fails"
 
