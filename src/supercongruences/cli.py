@@ -67,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int, help="prime-power exponent r")
     p_verify.add_argument("--n", type=int, help="range/truncation parameter n")
     p_verify.add_argument("--strength", type=int, help="modulus exponent (dflst: 2 or 3)")
-    p_verify.add_argument("--alpha", type=_fraction, help="rational parameter alpha")
-    p_verify.add_argument("--x", type=_fraction, help="deformation x")
-    p_verify.add_argument("--y", type=_fraction, help="deformation y")
+    p_verify.add_argument("--alpha", type=_fraction, help="rational alpha; negative as --alpha=-1/2")
+    p_verify.add_argument("--x", type=_fraction, help="deformation x; negative as --x=-1/2")
+    p_verify.add_argument("--y", type=_fraction, help="deformation y; negative as --y=-1/3")
     _output_flags(p_verify)
 
     p_suite = sub.add_parser(

@@ -19,16 +19,16 @@ u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
 k + 1 of k!) are grouped once per spec into (form, multiplicity), and
 each distinct form is one lazy ``map`` raised to its multiplicity.
 
-A sum mod p^k folds the same steps instead, over one common denominator
-e (the starting weight's denominator times every Q(k) D(k), k < n) that
-is divided out once at the end. V = v_p(e) comes in closed form from the
-linear forms of the parameters, and the fold runs mod p^(k+V): the sum
-h/e is p-integral exactly when p^V divides h, and its residue is then
-h/p^V times the inverse of the unit e/p^V. That is O(n) steps on numbers
-of about (k+V) log2 p bits. A weighted sum folds forward, carrying
-(t, v, acc) with h = acc + v. A plain sum folds by Horner from the last
-step, sum_(j>=k) t_j/t_k = 1 + P(k)/Q(k) sum_(j>k) t_j/t_(k+1): two
-products per step, and the same h and e at the end. Where V is small
+A sum mod p^k folds the same steps instead, in ``_weighted_mod``, over
+one common denominator e (the starting weight's denominator times every
+Q(k) D(k), k < n) that is divided out once at the end. V = v_p(e) comes
+in closed form from the linear forms of the parameters, and the fold runs
+mod p^(k+V): the sum h/e is p-integral exactly when p^V divides h, and
+its residue is then h/p^V times the inverse of the unit e/p^V. That is
+O(n) steps on numbers of about (k+V) log2 p bits. Every sum folds by
+Horner from the last step, sum_(j>=k) t_j/t_k = 1 + P(k)/Q(k)
+sum_(j>k) t_j/t_(k+1): two products per step for a plain sum; a weighted
+sum also carries the weight differences, in (u, g, e). Where V is small
 next to n this beats the exact tree by far; at V near n/2 (the central
 sum through p^6 - 1 at p = 5) the two cost about the same. The exact tree
 serves the exact sums, and is the oracle the tests hold the fold to.
@@ -244,27 +244,33 @@ def _divide_out(h: int, e: int, big_v: int, ctx: PrimePower) -> Residue:
 def _weighted_mod(
     spec: SeriesSpec,
     ctx: PrimePower,
-    w0: Fraction,
+    w0: Fraction = Fraction(1),
     step_num: int = 0,
     step_den: int = 1,
     step_forms: Sequence[tuple[int, int]] = (),
 ) -> Residue:
-    """``_weighted_sum`` of the same arguments mod p^k, folded step by step
-    over one common denominator e: (t, v, acc) / e = (t_k, w_k t_k,
-    sum_{j<k} w_j t_j), mod p^(k+V) for V = v_p(e). NonIntegralDenominator
-    when p^V does not divide acc + v, i.e. the sum is not p-integral."""
+    """``_weighted_sum`` of the same arguments mod p^k, folded by Horner
+    from the last step mod p^(k+V): after step k, u/e = sum_(j>=k) t_j/t_k
+    and g/e = sum_(j>k) (w_j - w_k) t_j/t_k, and the sum is (w0 u + g)/e.
+    With no weight step (N = 0, D = 1) g stays 0: two products a step.
+    Raises NonIntegralDenominator when the sum is not p-integral."""
     big_v = _steps_valuation(spec, ctx.p, w0, step_den, step_forms)
     m = ctx.modulus * ctx.p**big_v
-    ps, qs = _ratios(spec)
-    ds = _linear_products(step_den, _grouped(step_forms), spec.n)
-    t, v, acc, e = w0.denominator, w0.numerator, 0, w0.denominator
-    for num, den, dk in zip(ps, qs, ds):
-        pd, qd = num * dk, den * dk
-        acc = (acc + v) * qd % m
-        v = (v * pd + t * num * step_num) % m
-        t = t * pd % m
-        e = e * qd % m
-    return _divide_out((acc + v) % m, e, big_v, ctx)
+    ps, qs = _ratios(spec, -1)
+    u, g, e = 1, 0, 1
+    if step_num or step_den != 1 or step_forms:
+        ds = _linear_products(step_den, _grouped(step_forms), spec.n, -1)
+        for num, den, dk in zip(ps, qs, ds):
+            pd = num * dk
+            g = (pd * g + num * step_num * u) % m
+            e = e * den * dk % m
+            u = (e + pd * u) % m
+    else:
+        for num, den in zip(ps, qs):
+            e = e * den % m
+            u = (e + num * u) % m
+    wn, wd = w0.numerator, w0.denominator
+    return _divide_out((wn * u + wd * g) % m, wd * e % m, big_v, ctx)
 
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
@@ -273,18 +279,9 @@ def evaluate_exact(spec: SeriesSpec) -> Fraction:
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """The truncated sum mod p^k, folded by Horner from the last step:
-    h/e = sum_(j>=k) t_j/t_k over e = Q(k)...Q(n-1), mod p^(k+V). The fold
-    ends on the h and e of ``_weighted_mod`` at w0 = 1. NonIntegralDenominator
-    when the exact value is not p-integral: the congruence being probed is
-    then ill-posed for these parameters."""
-    big_v = _steps_valuation(spec, ctx.p, Fraction(1))
-    m = ctx.modulus * ctx.p**big_v
-    h = e = 1
-    for num, den in zip(*_ratios(spec, -1)):
-        e = e * den % m
-        h = (e + num * h) % m
-    return _divide_out(h, e, big_v, ctx)
+    """The truncated sum mod p^k; NonIntegralDenominator when the exact
+    value is not p-integral (the congruence probed is then ill-posed)."""
+    return _weighted_mod(spec, ctx)
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,7 @@ def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
 
 
 def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """``affine_weighted_sum`` mod p^k, folded as in ``evaluate_mod``;
+    """``affine_weighted_sum`` mod p^k, folded by ``_weighted_mod``;
     NonIntegralDenominator when the exact value is not p-integral."""
     return _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
 
@@ -333,6 +330,6 @@ def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) 
 
 
 def harmonic_weighted_mod(spec: SeriesSpec, c1: RationalLike, c2: RationalLike, ctx: PrimePower) -> Residue:
-    """``harmonic_weighted_sum`` mod p^k, folded as in ``evaluate_mod``;
+    """``harmonic_weighted_sum`` mod p^k, folded by ``_weighted_mod``;
     NonIntegralDenominator when the exact value is not p-integral."""
     return _weighted_mod(spec, ctx, *_harmonic_steps(spec, c1, c2))

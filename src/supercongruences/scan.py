@@ -166,7 +166,8 @@ def scan_conjecture(
     from the state come from one sweep up to the largest of them, and each
     is appended to the state file as the sweep yields it, so an interrupted
     scan resumes where it stopped. A non-integral cell read from the state
-    counts as missing, so only a fresh sweep can report a finding.
+    counts as missing, so only a fresh sweep reports a finding; an integral
+    one is trusted as stored, even if wrong (delete the file to recompute).
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")

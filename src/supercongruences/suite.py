@@ -148,7 +148,8 @@ def run_suite(
     so the reports arrive one batch at a time. Either way ``progress`` sees
     each report in case order as soon as it and every earlier case are done.
     If a case raises, ``progress`` still sees every report that finished
-    before it, and then the exception propagates.
+    before it, and then the exception propagates; with jobs > 1, only once
+    the batches already handed to the workers have run to their end.
     """
     cases = enumerate_cases(cfg)
     with ExitStack() as stack:

@@ -350,6 +350,11 @@ class TestVerifyCommand:
     def test_alpha_parsing(self):
         assert cli.main(["verify", "sun", "--alpha", "2/5", "--p", "7"]) == 0
 
+    def test_negative_rationals_in_equals_form(self):
+        # argparse takes a bare -1/2 for an option; the = form passes it as a value
+        assert cli.main(["verify", "sun", "--alpha=-1/2", "--p", "7"]) == 0
+        assert cli.main(["verify", "km-deformed", "--d", "4", "--p", "7", "--x=-1/2", "--y=-1/3"]) == 0
+
     def test_bad_alpha_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "sun", "--alpha", "x", "--p", "7"])

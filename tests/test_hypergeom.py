@@ -1,7 +1,6 @@
 """Truncated series: terms, exact sums, modular reduction, weighted sums."""
 
 import random
-import re
 from fractions import Fraction
 from itertools import repeat
 from math import prod
@@ -18,6 +17,7 @@ from supercongruences.hypergeom import (
     _linear_products,
     _steps_valuation,
     _weighted_mod,
+    _weighted_sum,
     affine_weighted_mod,
     affine_weighted_sum,
     evaluate_exact,
@@ -325,12 +325,16 @@ class TestTreeAgainstLoops:
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def outcome(compute):
-    """compute(), or NonIntegralDenominator if it raises that."""
-    try:
-        return compute()
-    except NonIntegralDenominator:
-        return NonIntegralDenominator
+def assert_folds_to(compute, exact, ctx):
+    """compute() is the exact value reduced mod p^k; when that value is not
+    p-integral, it raises NonIntegralDenominator naming p and v_p(exact)."""
+    p = ctx.p
+    if exact.denominator % p:
+        assert compute() == reduce_mod(exact, ctx)
+        return
+    with pytest.raises(NonIntegralDenominator) as raised:
+        compute()
+    assert str(raised.value) == f"sum is not p-integral at p={p}: v_p(sum) = {valuation(exact, p)}"
 
 
 def central_series(n):
@@ -381,22 +385,20 @@ def mod_cases(draw):
 
 class TestFoldAgainstExact:
     """The fold and exact-then-reduce agree on every draw: the same residue,
-    or NonIntegralDenominator from both."""
+    or, for a sum that is not p-integral, NonIntegralDenominator naming its
+    valuation."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=mod_cases())
     def test_plain(self, case):
         spec, ctx, _ = case
-        expected = outcome(lambda: reduce_mod(evaluate_exact(spec), ctx))
-        assert outcome(lambda: _weighted_mod(spec, ctx, F(1))) == expected
-        assert outcome(lambda: evaluate_mod(spec, ctx)) == expected
+        assert_folds_to(lambda: evaluate_mod(spec, ctx), evaluate_exact(spec), ctx)
 
     @settings(max_examples=200, deadline=None)
     @given(case=mod_cases())
     def test_affine(self, case):
         spec, ctx, w = case
-        expected = outcome(lambda: reduce_mod(affine_weighted_sum(w, spec), ctx))
-        assert outcome(lambda: affine_weighted_mod(w, spec, ctx)) == expected
+        assert_folds_to(lambda: affine_weighted_mod(w, spec, ctx), affine_weighted_sum(w, spec), ctx)
 
     @settings(max_examples=100, deadline=None)
     @given(case=mod_cases(), data=st.data())
@@ -404,8 +406,26 @@ class TestFoldAgainstExact:
         spec, ctx, _ = case
         c1 = data.draw(clear_of(spec.n))
         c2 = data.draw(clear_of(spec.n))
-        expected = outcome(lambda: reduce_mod(harmonic_weighted_sum(spec, c1, c2), ctx))
-        assert outcome(lambda: harmonic_weighted_mod(spec, c1, c2, ctx)) == expected
+        assert_folds_to(lambda: harmonic_weighted_mod(spec, c1, c2, ctx), harmonic_weighted_sum(spec, c1, c2), ctx)
+
+    def test_equal_harmonic_shifts_hitting_p(self):
+        # 1/3 + k reaches 7/3 at k = 2 and 28/3 at k = 9: the step forms carry
+        # p into V though the weight step N is 0, and the sum is still 0
+        spec = central_series(12)
+        assert _steps_valuation(spec, 7, F(0), 1, [(1, 3), (1, 3)]) > _steps_valuation(spec, 7, F(0))
+        for k in (1, 3):
+            assert harmonic_weighted_mod(spec, F(1, 3), F(1, 3), PrimePower(7, k)) == 0
+
+    def test_constant_weight_with_step_forms(self):
+        # N = 0 and D(k) = 1 + 2k, which is 5 at k = 2 and 25 at k = 12: V
+        # counts D, so the weighted loop must run; 2/7 is a unit at p = 5
+        steps = (F(2, 7), 0, 1, ((1, 2),))
+        for n in (4, 24):
+            spec = central_series(n)
+            assert _steps_valuation(spec, 5, F(2, 7), 1, [(1, 2)]) > _steps_valuation(spec, 5, F(2, 7))
+            for k in (1, 3):
+                ctx = PrimePower(5, k)
+                assert _weighted_mod(spec, ctx, *steps) == reduce_mod(_weighted_sum(spec, *steps), ctx)
 
     def test_p_integral_with_steps_carrying_p(self):
         # the central sum through k = p^2 - 1, and guo-central's weight on it
@@ -580,13 +600,5 @@ class TestGroupedFactors:
         w = AffineWeight(data.draw(rationals), data.draw(rationals))
         plain = naive_sum(spec.upper, spec.lower, spec.z, n)
         weighted = naive_sum(spec.upper, spec.lower, spec.z, n, w.at)
-        assert outcome(lambda: evaluate_mod(spec, ctx)) == outcome(lambda: reduce_mod(plain, ctx))
-        assert outcome(lambda: affine_weighted_mod(w, spec, ctx)) == outcome(lambda: reduce_mod(weighted, ctx))
-        # the Horner fold ends where the forward fold does: same residue, same text
-        try:
-            forward = _weighted_mod(spec, ctx, F(1))
-        except NonIntegralDenominator as exc:
-            with pytest.raises(NonIntegralDenominator, match=re.escape(str(exc))):
-                evaluate_mod(spec, ctx)
-        else:
-            assert evaluate_mod(spec, ctx) == forward
+        assert_folds_to(lambda: evaluate_mod(spec, ctx), plain, ctx)
+        assert_folds_to(lambda: affine_weighted_mod(w, spec, ctx), weighted, ctx)
