@@ -40,7 +40,7 @@ from .padic import (
 )
 from .primes import is_prime, odd_primes_up_to, primes_in_class
 from .scan import ConjectureCell, admissible_n, conjecture_value, load_cells, scan_conjecture
-from .suite import SuiteConfig, all_pass, enumerate_cases, run_suite
+from .suite import SuiteConfig, all_pass, enumerate_cases, iter_reports, run_suite
 from .verifiers import (
     CASE_KINDS,
     Case,

@@ -30,7 +30,7 @@ from .errors import CongruenceError, HypothesisViolated
 from .exact import rational_text
 from .primes import primes_in_class
 from .scan import scan_conjecture
-from .suite import SuiteConfig, all_pass, pass_line, render, report_lines, run_suite
+from .suite import SuiteConfig, all_pass, iter_reports, pass_line, render, report_lines
 from .verifiers import CASE_KINDS, Case, admissible, run_case
 
 EXIT_PASS = 0
@@ -131,15 +131,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
     cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
     stream = args.format == "plain" and not args.out
     done = []
-
-    def progress(report) -> None:
-        done.append(report)
-        if stream:
-            print(report_lines([report])[0], flush=True)
-
     with _open_out(args.out) as out:
         try:
-            run_suite(cfg, progress=progress)
+            for report in iter_reports(cfg):
+                done.append(report)
+                if stream:
+                    print(report_lines([report])[0], flush=True)
         finally:
             # done holds the finished reports in case order; keep them if a case raised
             if not stream:

@@ -21,8 +21,14 @@ def is_prime(n: int) -> bool:
 
 
 def odd_primes_up_to(limit: int) -> list[int]:
-    """Ascending odd primes p <= limit."""
-    return [p for p in range(3, limit + 1, 2) if is_prime(p)]
+    """Ascending odd primes p <= limit, by a sieve of Eratosthenes."""
+    if limit < 3:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    for f in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[f]:
+            sieve[f * f :: 2 * f] = bytes(len(range(f * f, limit + 1, 2 * f)))
+    return [p for p in range(3, limit + 1, 2) if sieve[p]]
 
 
 def primes_in_class(residue: int, modulus: int, limit: int) -> list[int]:

@@ -11,8 +11,9 @@ is exactly the prefactor's numerator. A cell is therefore N_n / n^2 with N_n
 an integer, and one pass of the recurrence t <- t P(k), acc <- acc Q(k) + t
 from (acc, t) = (1, 1) yields N_n for every n of a scan: no prefactor, no
 per-cell series and no big gcd. ``conjecture_value`` keeps the
-prefactor-times-series form. A non-integral cell would be a counterexample
-and is reported loudly, never swallowed.
+prefactor-times-series form. A non-integral cell would be a counterexample:
+it is returned with ``is_integer`` false, never swallowed, and the CLI's
+``scan`` prints it with its full exact value and exits 3.
 
 State persists as append-only UTF-8 lines, one cell per line:
 ``d n numerator denominator is_integer`` (five decimal integers,
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import HypothesisViolated
-from .exact import factorial, int_text, parse_int, rational_text
+from .exact import factorial, int_text, parse_int
 from .hypergeom import evaluate_exact
 from .verifiers import combined_series
 
@@ -166,8 +167,9 @@ def scan_conjecture(
     from the state come from one sweep up to the largest of them, and each
     is appended to the state file as the sweep yields it, so an interrupted
     scan resumes where it stopped. A non-integral cell read from the state
-    counts as missing, so only a fresh sweep reports a finding; an integral
-    one is trusted as stored, even if wrong (delete the file to recompute).
+    counts as missing, so only a fresh sweep returns a finding, a cell with
+    ``is_integer`` false, for the caller to report; an integral one is
+    trusted as stored, even if wrong (delete the file to recompute).
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")
@@ -179,11 +181,7 @@ def scan_conjecture(
         if state_path is not None:
             _append(state_path, cell)
         cells[n] = cell
-    out = [cells[n] for n in ns]
-    for cell in out:
-        if not cell.is_integer:
-            log.warning("non-integral cell at d=%d n=%d: %s", cell.d, cell.n, rational_text(cell.value))
-    return out
+    return [cells[n] for n in ns]
 
 
 def _sweep(d: int, ns: Iterable[int]) -> Iterator[tuple[int, Fraction]]:

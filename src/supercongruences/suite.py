@@ -14,10 +14,9 @@ import json
 import os
 import random
 import traceback
-from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CongruenceError, HypothesisViolated
 from .exact import int_text, rational_text
@@ -137,38 +136,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_suite(
-    cfg: SuiteConfig, progress: Callable[[Report], None] | None = None
-) -> list[Report]:
-    """Run every enumerated case; reports come back sorted like the cases.
+def iter_reports(cfg: SuiteConfig) -> Iterator[Report]:
+    """Run every enumerated case, yielding each report in case order as
+    soon as it and every earlier case are done.
 
     With jobs > 1 they run in a pool of at most jobs workers, capped by the
     case count and by the CPUs this process may use. The pool gets the case
     list cut into contiguous batches, about _BATCHES_PER_WORKER per worker,
-    so the reports arrive one batch at a time. Either way ``progress`` sees
-    each report in case order as soon as it and every earlier case are done.
-    If a case raises, ``progress`` still sees every report that finished
-    before it, and then the exception propagates; with jobs > 1, only once
-    the batches already handed to the workers have run to their end.
+    so the reports arrive one batch at a time. If a case raises, every
+    report that finished before it is yielded first, and then the exception
+    propagates; with jobs > 1, the batches not yet handed to the workers are
+    cancelled, as when the caller closes the stream early, and the exception
+    propagates only once the batches already handed out have run to their end.
     """
     cases = enumerate_cases(cfg)
-    with ExitStack() as stack:
-        if cfg.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if cfg.jobs == 1:
+        yield from map(run_case, cases)
+        return
+    from concurrent.futures import ProcessPoolExecutor
 
-            workers = max(1, min(cfg.jobs, len(cases), _usable_cpus()))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            size = max(1, -(-len(cases) // (workers * _BATCHES_PER_WORKER)))
-            batches = [cases[i : i + size] for i in range(0, len(cases), size)]
-            results = _unbatched(pool.map(_run_batch, batches))
-        else:
-            results = map(run_case, cases)
-        reports = []
-        for report in results:
-            if progress is not None:
-                progress(report)
-            reports.append(report)
-    return sorted(reports, key=lambda rep: rep.case.sort_key())
+    workers = max(1, min(cfg.jobs, len(cases), _usable_cpus()))
+    size = max(1, -(-len(cases) // (workers * _BATCHES_PER_WORKER)))
+    batches = [cases[i : i + size] for i in range(0, len(cases), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(_run_batch, batches)
+        try:
+            for reports, exc in results:
+                yield from reports
+                if exc is not None:
+                    raise exc
+        finally:
+            results.close()  # cancels the batches not yet started
+
+
+def run_suite(cfg: SuiteConfig) -> list[Report]:
+    """Every report of ``iter_reports``, sorted like the cases."""
+    return sorted(iter_reports(cfg), key=lambda rep: rep.case.sort_key())
 
 
 def _run_one(args: tuple[Case, ...]) -> Report:
@@ -193,17 +196,6 @@ def _run_batch(cases: list[Case]) -> tuple[list[Report], Exception | None]:
                 exc.add_note("".join(traceback.format_exception(exc)).rstrip())
             return reports, exc
     return reports, None
-
-
-def _unbatched(batches: Iterator[tuple[list[Report], Exception | None]]) -> Iterator[Report]:
-    """The reports of the pool's batches, in order. After the finished
-    reports of a batch whose case raised, the batches not yet started are
-    cancelled and the exception is raised."""
-    for reports, exc in batches:
-        yield from reports
-        if exc is not None:
-            batches.close()
-            raise exc
 
 
 def all_pass(reports: Iterable[Report]) -> bool:

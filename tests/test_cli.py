@@ -6,11 +6,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from supercongruences.suite import (
     all_pass,
     enumerate_cases,
     from_json,
+    iter_reports,
     render,
     run_suite,
     to_json,
@@ -224,10 +227,21 @@ class TestSuiteRun:
 
     def test_parallel_progress_in_case_order(self):
         cfg = SuiteConfig(**{**TINY.__dict__, "jobs": 2})
-        seen = []
-        reports = run_suite(cfg, progress=seen.append)
+        seen = list(iter_reports(cfg))
         assert [r.case for r in seen] == enumerate_cases(cfg)
-        assert seen == reports
+        assert seen == run_suite(cfg)
+
+    def test_iter_reports_is_lazy(self, monkeypatch):
+        ran = []
+        real = suite_mod.run_case
+
+        def run_case(case):
+            ran.append(case)
+            return real(case)
+
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
+        first = next(iter_reports(TINY))
+        assert ran == [first.case] == enumerate_cases(TINY)[:1]
 
     @pytest.mark.parametrize(
         "jobs, cpus, expected",
@@ -263,8 +277,8 @@ class TestSuiteRun:
 
     def test_pool_gets_contiguous_batches(self, monkeypatch, recording_pool):
         cases = enumerate_cases(SMALL)
-        serial_seen = []
-        serial = run_suite(SMALL, progress=serial_seen.append)
+        serial_seen = list(iter_reports(SMALL))
+        serial = run_suite(SMALL)
         calls = []
         real = suite_mod._run_one
 
@@ -273,8 +287,7 @@ class TestSuiteRun:
             return real(args)
 
         monkeypatch.setattr(suite_mod, "_run_one", run_one)
-        seen = []
-        reports = run_suite(SuiteConfig(**{**SMALL.__dict__, "jobs": 2}), progress=seen.append)
+        seen = list(iter_reports(SuiteConfig(**{**SMALL.__dict__, "jobs": 2})))
         [(fn, batches)] = recording_pool.maps
         [workers] = recording_pool.sizes
         assert fn is suite_mod._run_batch
@@ -283,7 +296,28 @@ class TestSuiteRun:
         assert all(batches) and len(batches) <= workers * suite_mod._BATCHES_PER_WORKER
         # _run_one stays the per-case entry point, looked up at call time
         assert calls == cases
-        assert reports == serial and seen == serial_seen
+        assert seen == serial_seen == serial
+
+    def test_closing_the_stream_cancels_pending_batches(self, monkeypatch, recording_pool):
+        # a real pool runs every batch left uncancelled before it shuts
+        # down, so the map's result iterator must be closed before the pool
+        # exits, which cancels the batches not yet handed to a worker
+        results, open_at_exit = [], []
+        real_map = RecordingPool.map
+
+        def map_(self, fn, tasks):
+            results.append(real_map(self, fn, tasks))
+            return results[-1]
+
+        def exit_(self, *exc):
+            open_at_exit.append(results[-1].gi_frame is not None)
+
+        monkeypatch.setattr(RecordingPool, "map", map_)
+        monkeypatch.setattr(RecordingPool, "__exit__", exit_)
+        stream = iter_reports(SuiteConfig(**{**SMALL.__dict__, "jobs": 2}))
+        next(stream)
+        stream.close()
+        assert open_at_exit == [False]
 
     def test_run_batch_keeps_reports_before_a_failure(self, monkeypatch):
         cases = [Case("rv", p=5), Case("rv", p=7), Case("rv", p=11)]
@@ -451,7 +485,7 @@ class TestSuiteCommand:
         args = cli.build_parser().parse_args(["suite"])
         assert SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)}) == SuiteConfig()
         seen = []
-        monkeypatch.setattr(cli, "run_suite", lambda cfg, progress: seen.append(cfg))
+        monkeypatch.setattr(cli, "iter_reports", lambda cfg: seen.append(cfg) or iter(()))
         assert cli.main(["suite"]) == 0
         assert seen == [SuiteConfig()]
 
@@ -532,6 +566,24 @@ class TestScanCommand:
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 3
         captured = capsys.readouterr()
         assert "NON-INTEGRAL" in captured.err and "7/2" in captured.err
+
+    def test_finding_printed_once(self):
+        # a subprocess, so that no pytest log handler hides Python's
+        # last-resort one, which would print a library warning too
+        code = (
+            "import sys; from fractions import Fraction\n"
+            "import supercongruences.cli as cli, supercongruences.scan as scan\n"
+            "real = scan._sweep\n"
+            "scan._sweep = lambda d, ns: ((n, Fraction(7, 2) if n == 3 else v) for n, v in real(d, ns))\n"
+            "sys.exit(cli.main(['scan', '--d', '2', '--n-max', '5']))\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.count("7/2") == 1
 
     def test_non_integral_state_line_is_recomputed(self, tmp_path, capsys):
         # a finding read back from the state is never trusted: the sweep

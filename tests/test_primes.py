@@ -22,6 +22,23 @@ def test_odd_primes():
     assert odd_primes_up_to(20) == [3, 5, 7, 11, 13, 17, 19]
 
 
+def trial_division(limit):
+    return [p for p in range(3, limit + 1, 2) if is_prime(p)]
+
+
+def test_odd_primes_sieve_against_trial_division():
+    for limit in range(-1, 2001):
+        assert odd_primes_up_to(limit) == trial_division(limit)
+    assert odd_primes_up_to(10**5) == trial_division(10**5)
+
+
+def test_odd_primes_at_a_prime_limit():
+    # the limit itself is included: an off-by-one in the sieve shows here
+    for limit in (3, 199, 997, 7919, 10007):
+        assert odd_primes_up_to(limit)[-1] == limit
+        assert odd_primes_up_to(limit - 1) == odd_primes_up_to(limit)[:-1]
+
+
 def test_primes_in_class():
     assert primes_in_class(-1, 4, 20) == [3, 7, 11, 19]
     assert primes_in_class(1, 4, 20) == [5, 13, 17]

@@ -122,19 +122,17 @@ class TestScan:
         assert [c.n for c in cells] == admissible_n(5, 600)
         assert all(c.value == conjecture_value(5, c.n) and c.is_integer for c in cells)
 
-    def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, monkeypatch, caplog):
+    def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, monkeypatch):
         # make the sweep yield a fake half-integral first cell; the scan
-        # must surface it and keep going
+        # must return it flagged and keep going (the CLI reports it)
         real = scan_mod._sweep
         monkeypatch.setattr(
             scan_mod, "_sweep", lambda d, ns: ((n, F(7, 2) if n == 3 else v) for n, v in real(d, ns))
         )
         state = tmp_path / "cells.txt"
-        with caplog.at_level("WARNING"):
-            cells = scan_conjecture(2, 7, state)
+        cells = scan_conjecture(2, 7, state)
         assert [c.n for c in cells] == [3, 5, 7]
         assert not cells[0].is_integer and cells[0].value == F(7, 2)
-        assert any("non-integral" in rec.message for rec in caplog.records)
 
     def test_line_format(self):
         cell = ConjectureCell(2, 3, F(5), True)
