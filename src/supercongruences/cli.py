@@ -10,6 +10,12 @@ Exit codes, mutually exclusive:
     p-integral: a report with a ``finding:`` note)
   2 usage or hypothesis error, or a file that cannot be read or written
   3 conjecture scan found a non-integral cell (a finding, not a failure)
+  141 the reader closed stdout before the output ended (128 + SIGPIPE, the
+    code a shell reports for a process that SIGPIPE killed); nothing more
+    is printed, on stdout or stderr
+
+A negative rational may follow ``--alpha``, ``--x`` or ``--y`` bare, as in
+``--x -1/2``: argparse alone would read ``-1/2`` as an option.
 
 ``--out`` is opened before any case runs, so a bad path costs no work,
 but only once ``verify``'s hypotheses hold, so a usage error leaves no
@@ -21,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -37,6 +45,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_FINDING = 3
+EXIT_PIPE = 141
+
+# flags that take a rational, which may be negative: -1/2 is no int, so
+# argparse would read it as an option
+_RATIONAL_FLAGS = ("--alpha", "--x", "--y")
 
 
 def _fraction(text: str) -> Fraction:
@@ -44,6 +57,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """``--x -1/2`` as ``--x=-1/2``: a rational flag followed by a value
+    that starts with a minus sign and a digit is joined into one token."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and re.match(r"-\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _int_set(text: str) -> tuple[int, ...]:
@@ -67,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int, help="prime-power exponent r")
     p_verify.add_argument("--n", type=int, help="range/truncation parameter n")
     p_verify.add_argument("--strength", type=int, help="modulus exponent (dflst: 2 or 3)")
-    p_verify.add_argument("--alpha", type=_fraction, help="rational alpha; negative as --alpha=-1/2")
-    p_verify.add_argument("--x", type=_fraction, help="deformation x; negative as --x=-1/2")
-    p_verify.add_argument("--y", type=_fraction, help="deformation y; negative as --y=-1/3")
+    p_verify.add_argument("--alpha", type=_fraction, help="rational alpha, e.g. 2/5 or -1/2")
+    p_verify.add_argument("--x", type=_fraction, help="deformation x, e.g. 1/5 or -1/2")
+    p_verify.add_argument("--y", type=_fraction, help="deformation y, e.g. 1/3 or -1/3")
     _output_flags(p_verify)
 
     p_suite = sub.add_parser(
@@ -164,10 +189,18 @@ def cmd_primes(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     handlers = {"verify": cmd_verify, "suite": cmd_suite, "scan": cmd_scan, "primes": cmd_primes}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so that
+        # the flush at exit raises no second BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
     except (CongruenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

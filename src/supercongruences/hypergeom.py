@@ -9,10 +9,17 @@ Every sum, plain or weighted, is a product of integer step matrices
 (Haible & Papanikolaou, "Fast multiprecision evaluation of series of
 rational numbers", ANTS 1998): step k advances the state
 (t_k, w_k t_k, sum_{j<k} w_j t_j) to k+1 by a lower-triangular integer
-matrix over one integer denominator Q(k) D(k). The exact sum multiplies
-the steps pairwise up a balanced tree and builds a single ``Fraction``
-(one gcd) at the end; ``terms`` yields the terms one by one from the same
-integer ratios.
+matrix over one integer denominator Q(k) D(k). The exact sum folds runs
+of _LEAF consecutive steps into leaves in a tight loop, multiplies the
+leaves pairwise up a balanced tree and builds a single ``Fraction`` at
+the end. A product stands for its matrix over its denominator, so
+dividing all its entries by their gcd leaves it the same map; each merged
+product whose denominator is wider than _STRIP_BITS is divided so. Most of
+a wide product is such common content: unstripped, the km-deformed sum at
+d = 6, p = 977 ends on a denominator of 65,659 bits, 65,553 of them
+common to all five entries, for a value of about 2,500 bits. ``terms``
+yields the terms one by one from the same integer ratios,
+``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -38,8 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
-from itertools import repeat
+from math import gcd, prod
+from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -113,7 +120,7 @@ def _den_product(forms: Forms) -> int:
     return prod(v**mult for (_, v), mult in forms)
 
 
-def _ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterator[int]]:
+def step_ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterator[int]]:
     """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only
     (SeriesSpec guarantees b + k != 0 there, not at n); k counts up, or
     down from n - 1 for order = -1."""
@@ -142,7 +149,7 @@ def terms(spec: SeriesSpec) -> Iterator[Fraction]:
     """
     t = Fraction(1)
     yield t
-    for p, q in zip(*_ratios(spec)):
+    for p, q in zip(*step_ratios(spec)):
         t = Fraction(t.numerator * p, t.denominator * q)
         yield t
 
@@ -162,11 +169,40 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
 # denominator e; every step, and so every product, has this shape.
 _Step = tuple[int, int, int, int, int]
 
+# Steps folded into one leaf before it enters the tree, and the width of e
+# past which a merged product is divided by its content.
+_LEAF = 16
+_STRIP_BITS = 2048
+
 
 def _compose(later: _Step, earlier: _Step) -> _Step:
     a2, b2, c2, d2, e2 = later
     a1, b1, c1, d1, e1 = earlier
     return (a2 * a1, b2 * a1 + a2 * b1, c2 * a1 + d2 * b1 + e2 * c1, d2 * a1 + e2 * d1, e2 * e1)
+
+
+def _strip(node: _Step) -> _Step:
+    """The node divided by g = gcd of its five entries. The node stands
+    for the map M/e, and both M and e are divided by g, so the map and
+    every sum built from it stay the same."""
+    g = gcd(*node)
+    return node if g == 1 else tuple(x // g for x in node)
+
+
+def _merged(later: _Step, earlier: _Step) -> _Step:
+    node = _compose(later, earlier)
+    return _strip(node) if node[4].bit_length() > _STRIP_BITS else node
+
+
+def _leaf(steps: Iterable[tuple[int, int, int]], step_num: int) -> _Step:
+    """The product of a run of steps (P, Q, D), folded one at a time: each
+    step's d and e entries are both Q D, so it acts on the product by
+    (a, b, c, d, e) -> (PD a, PN a + PD b, QD (b + c), QD (a + d), QD e)."""
+    a, b, c, d, e = 1, 0, 0, 0, 1
+    for p, q, dk in steps:
+        pd, qd = p * dk, q * dk
+        a, b, c, d, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * (a + d), qd * e
+    return a, b, c, d, e
 
 
 def _weighted_sum(
@@ -188,21 +224,22 @@ def _weighted_sum(
     Only the steps k < n are built: the ratio and the weight step are
     guaranteed finite there (SeriesSpec checks b + j for j < n), not at n.
     """
-    ps, qs = _ratios(spec)
+    ps, qs = step_ratios(spec)
     ds = _linear_products(step_den, _grouped(step_forms), spec.n)
-    # products of 2^j consecutive steps, earliest first, sizes strictly
-    # decreasing: equal neighbours merge as each step arrives, so the
+    steps = zip(ps, qs, ds)
+    # products of 2^j consecutive leaves, earliest first, sizes strictly
+    # decreasing: equal neighbours merge as each leaf arrives, so the
     # tree stays balanced and only O(log n) products are alive at a time
     stack: list[tuple[int, _Step]] = []
-    for p, q, dk in zip(ps, qs, ds):
-        size, node = 1, (p * dk, p * step_num, 0, q * dk, q * dk)
+    for _ in range(0, spec.n, _LEAF):
+        size, node = 1, _leaf(islice(steps, _LEAF), step_num)
         while stack and stack[-1][0] == size:
-            node = _compose(node, stack.pop()[1])
+            node = _merged(node, stack.pop()[1])
             size *= 2
         stack.append((size, node))
     product = (1, 0, 0, 0, 1)
     for _, node in reversed(stack):
-        product = _compose(product, node)
+        product = _merged(product, node)
     a, b, c, d, e = product
     # start from (t, v, acc) = (1, w0, 0); the sum is acc_n + v_n
     wn, wd = w0.numerator, w0.denominator
@@ -256,7 +293,7 @@ def _weighted_mod(
     Raises NonIntegralDenominator when the sum is not p-integral."""
     big_v = _steps_valuation(spec, ctx.p, w0, step_den, step_forms)
     m = ctx.modulus * ctx.p**big_v
-    ps, qs = _ratios(spec, -1)
+    ps, qs = step_ratios(spec, -1)
     u, g, e = 1, 0, 1
     if step_num or step_den != 1 or step_forms:
         ds = _linear_products(step_den, _grouped(step_forms), spec.n, -1)

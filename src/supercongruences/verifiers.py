@@ -60,7 +60,7 @@ from .hypergeom import (
     evaluate_mod,
     harmonic_weighted_mod,
     series,
-    terms,
+    step_ratios,
 )
 # pochhammer, term and harmonic_weighted_sum are unused here but stay bound: bench/tracing.py wraps them by name
 from .exact import pochhammer
@@ -437,6 +437,24 @@ def _require_three_series(d: int, n: int) -> None:
     _require(n >= 0, f"need a truncation >= 0, got {n}")
 
 
+def _termwise(d: int, sa: SeriesSpec, sb: SeriesSpec, sc: SeriesSpec) -> bool:
+    """Whether t_a(k) + (d-1) t_b(k) = d t_c(k) at every k <= n. Three
+    series with the same lower parameters and z, each with d upper
+    parameters over d, have the same step denominators Q(k); their k-th
+    terms then share the denominator Q(0)...Q(k-1), and the relation holds
+    exactly when it holds for the running products of their P(k). A Q(k)
+    that differs is a shape bug: it raises, even after a term has failed."""
+    (pa, qa), (pb, qb), (pc, qc) = step_ratios(sa), step_ratios(sb), step_ratios(sc)
+    holds = True
+    a = b = c = 1
+    for k, (x, y, z, q1, q2, q3) in enumerate(zip(pa, pb, pc, qa, qb, qc)):
+        if not q1 == q2 == q3:
+            raise RuntimeError(f"three-series step denominators differ at k = {k}")
+        holds = holds and a + (d - 1) * b == d * c
+        a, b, c = a * x, b * y, c * z
+    return holds and a + (d - 1) * b == d * c
+
+
 @_kind("three-series", _require_three_series)
 def verify_three_series(d: int, n: int) -> tuple:
     """Exact relation: guo-even series + (d-1) * guo-odd series equals
@@ -447,13 +465,7 @@ def verify_three_series(d: int, n: int) -> tuple:
     sc = combined_series(d, n)
     lhs = evaluate_exact(sa) + (d - 1) * evaluate_exact(sb)
     rhs = d * evaluate_exact(sc)
-    # a + (d-1) b == d c, cross-multiplied: no Fraction built per term
-    termwise = all(
-        (a.numerator * b.denominator + (d - 1) * b.numerator * a.denominator) * c.denominator
-        == d * c.numerator * a.denominator * b.denominator
-        for a, b, c in zip(terms(sa), terms(sb), terms(sc))
-    )
-    return lhs, rhs, "" if termwise else "termwise identity fails"
+    return lhs, rhs, "" if _termwise(d, sa, sb, sc) else "termwise identity fails"
 
 
 def _require_combined(d: int, p: int) -> None:

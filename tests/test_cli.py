@@ -385,9 +385,49 @@ class TestVerifyCommand:
         assert cli.main(["verify", "sun", "--alpha", "2/5", "--p", "7"]) == 0
 
     def test_negative_rationals_in_equals_form(self):
-        # argparse takes a bare -1/2 for an option; the = form passes it as a value
+        # the = form hands argparse the value in the flag's own token
         assert cli.main(["verify", "sun", "--alpha=-1/2", "--p", "7"]) == 0
         assert cli.main(["verify", "km-deformed", "--d", "4", "--p", "7", "--x=-1/2", "--y=-1/3"]) == 0
+
+    def test_bare_negative_rationals(self, capsys):
+        # main joins --alpha/--x/--y and a following -<digit> value, so the
+        # bare form gives the report of the = form
+        runs = [
+            (["verify", "sun", "--alpha", "-1/2", "--p", "7"], ["verify", "sun", "--alpha=-1/2", "--p", "7"]),
+            (
+                ["verify", "km-deformed", "--d", "4", "--p", "7", "--x", "-1/2", "--y", "-1/3"],
+                ["verify", "km-deformed", "--d", "4", "--p", "7", "--x=-1/2", "--y=-1/3"],
+            ),
+            (["verify", "sun", "--alpha", "-2", "--p", "7"], ["verify", "sun", "--alpha=-2", "--p", "7"]),
+        ]
+        rows = []
+        for bare, joined in runs:
+            outputs = []
+            for argv in (bare, joined):
+                assert cli.main([*argv, "--format", "csv"]) == 0
+                # every column but elapsed_ms
+                outputs.append([row[:-1] for row in csv.reader(io.StringIO(capsys.readouterr().out))])
+            assert outputs[0] == outputs[1]
+            rows.append(outputs[0][1])
+        assert [row[0] for row in rows] == ["sun(alpha=-1/2)", "km-deformed(x=-1/2,y=-1/3)", "sun(alpha=-2)"]
+
+    def test_bare_negative_rational_through_the_console_script(self):
+        # argv as the shell hands it over, on the interpreter under test
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = ["verify", "km-deformed", "--d", "4", "--p", "7", "--x", "-1/2", "--y", "-1/3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercongruences.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("pass  km-deformed(x=-1/2,y=-1/3)")
+
+    def test_rational_flag_without_value_is_still_a_usage_error(self, capsys):
+        # only a -<digit> token is joined: a flag after --alpha is not its value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "sun", "--alpha", "--p", "7"])
+        assert exc.value.code == 2
+        assert "argument --alpha: expected one argument" in capsys.readouterr().err
 
     def test_bad_alpha_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -726,3 +766,48 @@ class TestExactSidesPastDigitLimit:
                 [back] = from_json(out)
                 assert back.verdict and back.lhs == back.rhs
         assert str(verify_four_k_plus_one(self.N).lhs) in out
+
+
+class TestClosedPipe:
+    def test_closed_pipe_exits_quietly(self):
+        # the reader takes one line and closes the pipe: the suite stops at
+        # its next write with 141 (128 + SIGPIPE), and no "error:" line
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for flags in ([], ["--jobs", "2"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "supercongruences.cli", "suite", "--p-max", "1000", *flags],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            try:
+                assert proc.stdout.readline().startswith(b"pass  ")
+                proc.stdout.close()
+                assert proc.wait(timeout=120) == cli.EXIT_PIPE
+                assert proc.stderr.read() == b""
+            finally:
+                proc.kill()
+                proc.wait(timeout=60)
+                proc.stderr.close()
+
+    def test_pipe_closed_before_a_buffered_write(self):
+        # verify's one report sits in stdout's buffer until main flushes it,
+        # after the reader has gone: 141 and no traceback from the flush at exit
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout must buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supercongruences.cli", "verify", "rv", "--p", "7"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=60) == cli.EXIT_PIPE
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stderr.close()

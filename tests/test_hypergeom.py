@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supercongruences.hypergeom as hypergeom_mod
 from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
 from supercongruences.hypergeom import (
+    _LEAF,
     AffineWeight,
     _linear_products,
     _steps_valuation,
@@ -28,6 +30,7 @@ from supercongruences.hypergeom import (
     term,
     terms,
 )
+from supercongruences.km import KmInstance, km_series
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
 from supercongruences.primes import odd_primes_up_to
 from supercongruences.verifiers import combined_series, dflst_series, guo_even_series, guo_odd_series
@@ -317,6 +320,66 @@ class TestTreeAgainstLoops:
         assert evaluate_exact(spec) == loop_evaluate(spec) == naive_sum([F(1, 2), 1], [-n], F(-1, 2), n)
         assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
         assert harmonic_weighted_sum(spec, -n, F(1, 2)) == loop_harmonic(spec, -n, F(1, 2))
+
+
+def tree_shapes(n):
+    """Specs truncated at n for the stripped tree: central, km-shaped
+    (terminating at its total shift n), dflst, one with negative lower
+    parameters and z (negative step denominators), and one whose upper
+    parameter -(n//2 + 1) zeroes the terms past n//2 + 1."""
+    third = n // 3
+    km = KmInstance((third, third, n - 2 * third), (F(6, 5), F(-2, 3), 1))
+    return [
+        central_series(n),
+        km_series(km, -n, n),
+        dflst_series(5, n),
+        series([F(-7, 3), F(5, 2), 3], [F(-11, 2), F(-1, 4)], F(-3, 7), n),
+        series([-(n // 2) - 1, F(1, 2)], [F(1, 3)], 2, n),
+    ]
+
+
+class TestStrippedTree:
+    """The tree with chunked leaves and stripped nodes against the termwise
+    loops, at truncations around the leaf size and past the strip width."""
+
+    SIZES = sorted({0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 300})
+
+    @pytest.fixture
+    def strips(self, monkeypatch):
+        """Counts the calls of the gcd branch, and those that removed content."""
+        counts = {"calls": 0, "stripped": 0}
+        real = hypergeom_mod._strip
+
+        def counting(node):
+            counts["calls"] += 1
+            out = real(node)
+            counts["stripped"] += out != node
+            return out
+
+        monkeypatch.setattr(hypergeom_mod, "_strip", counting)
+        return counts
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_plain_affine_harmonic(self, n, strips):
+        w = AffineWeight(F(-3, 7), F(5, 2))
+        # c1 + j < 0 for every j < n: the harmonic steps have negative D(k)
+        c1, c2 = F(-2 * n - 1, 2), F(1, 3)
+        for spec in tree_shapes(n):
+            before = strips["calls"]
+            assert evaluate_exact(spec) == loop_evaluate(spec)
+            assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
+            assert harmonic_weighted_sum(spec, c1, c2) == loop_harmonic(spec, c1, c2)
+            if n == 300:
+                assert strips["calls"] > before
+        if n == 300:
+            assert strips["stripped"] > 0
+        elif n <= _LEAF:
+            assert strips["calls"] == 0  # one leaf, narrower than the strip width
+
+    def test_stripping_keeps_the_node_map(self):
+        node = (6, -10, 14, 22, -30)
+        assert hypergeom_mod._strip(node) == (3, -5, 7, 11, -15)
+        assert hypergeom_mod._strip((3, -5, 7, 11, -15)) == (3, -5, 7, 11, -15)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import supercongruences.hypergeom as hypergeom_mod
 import supercongruences.verifiers as verifiers_mod
 from supercongruences.errors import HypothesisViolated, NonIntegralDenominator
 from supercongruences.exact import factorial, pochhammer
-from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact, series
+from supercongruences.hypergeom import AffineWeight, affine_weighted_sum, evaluate_exact, series, terms
 from supercongruences.padic import PrimePower, Residue, reduce_mod, valuation
 from supercongruences.suite import SuiteConfig, enumerate_cases
 from supercongruences.verifiers import (
@@ -24,8 +24,11 @@ from supercongruences.verifiers import (
     KINDS,
     Case,
     Report,
+    _termwise,
     admissible,
     central_series,
+    combined_series,
+    guo_even_series,
     guo_odd_series,
     run_case,
     verify_combined,
@@ -265,6 +268,90 @@ class TestThreeSeries:
             verify_three_series(1, 5)
         with pytest.raises(HypothesisViolated):
             verify_three_series(3, -1)
+
+
+def patch_ratios(monkeypatch, target, edit):
+    """Rebind verifiers.step_ratios so that edit(ps, qs) changes the lists
+    of P(k) and Q(k) of the target spec, and of no other."""
+    real = verifiers_mod.step_ratios
+
+    def step_ratios(spec):
+        ps, qs = map(list, real(spec))
+        if spec == target:
+            edit(ps, qs)
+        return iter(ps), iter(qs)
+
+    monkeypatch.setattr(verifiers_mod, "step_ratios", step_ratios)
+
+
+def termwise_by_fractions(d, sa, sb, sc):
+    """The termwise check on exact Fraction terms: the oracle that the
+    integer check over the shared step denominators must agree with."""
+    return all(a + (d - 1) * b == d * c for a, b, c in zip(terms(sa), terms(sb), terms(sc)))
+
+
+class TestTermwiseAgainstFractions:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_agrees_on_true_and_permuted_shapes(self, d):
+        # the three shapes in order hold termwise; permuted, they share the
+        # step denominators, and past n = 0 some order fails
+        for n in (0, 1, 2, 5, 16, 33, 60):
+            shapes = guo_even_series(d, n), guo_odd_series(d, n), combined_series(d, n)
+            verdicts = []
+            for order in ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0)):
+                specs = [shapes[i] for i in order]
+                verdicts.append(_termwise(d, *specs))
+                assert verdicts[-1] == termwise_by_fractions(d, *specs)
+            assert verdicts[0] and (n == 0 or not all(verdicts))
+
+    @pytest.mark.parametrize(
+        "d,n,k",
+        [(2, 7, 7), (5, 6, 6), (9, 60, 60), (3, 10, 5), (3, 60, 1)],
+    )
+    def test_agrees_when_one_term_fails(self, d, n, k, monkeypatch):
+        # t_k of the guo-odd series doubles and no other term changes: P(k-1)
+        # doubles and, below n, the even P(k) halves (at d = 3 every P(k) =
+        # (1+3k)^2 (4+3k) is even); the oracle's terms come from the same
+        # patched ratios
+        target = guo_odd_series(d, n)
+
+        def double_term_k(ps, qs):
+            ps[k - 1] *= 2
+            if k < n:
+                assert ps[k] % 2 == 0
+                ps[k] //= 2
+
+        def patched_terms(spec):
+            ts = [F(1)]
+            for p, q in zip(*verifiers_mod.step_ratios(spec)):
+                ts.append(ts[-1] * F(p, q))
+            return ts
+
+        patch_ratios(monkeypatch, target, double_term_k)
+        shapes = guo_even_series(d, n), target, combined_series(d, n)
+        a, b, c = map(patched_terms, shapes)
+        holds = [x + (d - 1) * y == d * z for x, y, z in zip(a, b, c)]
+        assert holds == [j != k for j in range(n + 1)]
+        assert _termwise(d, *shapes) is False
+
+    def test_step_denominators_that_differ_raise(self, monkeypatch):
+        # a shape bug must raise, never pass or fail quietly: the third series
+        # with other lower parameters, or another z, than the first two
+        d, n = 4, 6
+        sa, sb, sc = guo_even_series(d, n), guo_odd_series(d, n), combined_series(d, n)
+        for bad in (series(sc.upper, [2] * (d - 1), sc.z, n), series(sc.upper, sc.lower, F(1, 2), n)):
+            with pytest.raises(RuntimeError, match="step denominators differ at k = 0"):
+                _termwise(d, sa, sb, bad)
+        # a Q that differs only at the last step raises even though the
+        # swapped shapes have failed from k = 1 on
+        assert not _termwise(d, guo_odd_series(d, 1), guo_even_series(d, 1), combined_series(d, 1))
+
+        def double_last_q(ps, qs):
+            qs[-1] *= 2
+
+        patch_ratios(monkeypatch, sc, double_last_q)
+        with pytest.raises(RuntimeError, match=f"step denominators differ at k = {n - 1}"):
+            _termwise(d, sb, sa, sc)
 
 
 class TestCombined:
@@ -507,26 +594,22 @@ class TestReportsAndDispatch:
         assert report.modulus == "7^2" and report.case == Case("dflst", d=3, p=7, strength=2)
 
     def test_termwise_failure_fails_the_report(self, monkeypatch):
-        # squaring every term breaks the linear relation termwise; the sums
-        # (evaluated separately) still agree, so only the note fails it
-        real = verifiers_mod.terms
-        monkeypatch.setattr(verifiers_mod, "terms", lambda spec: [t * t for t in real(spec)])
+        # squaring every P(k) and Q(k) squares every term, which breaks the
+        # linear relation termwise; the sums (evaluated separately) still
+        # agree, so only the note fails it
+        real = verifiers_mod.step_ratios
+        monkeypatch.setattr(verifiers_mod, "step_ratios", lambda spec: [(x * x for x in r) for r in real(spec)])
         report = verify_three_series(3, 4)
         assert report.lhs == report.rhs
         assert not report.verdict and report.note == "termwise identity fails"
 
     def test_single_term_failure_fails_the_report(self, monkeypatch):
-        # only the last term of the guo-odd series changes; the sums are
-        # evaluated separately and still agree
-        real = verifiers_mod.terms
+        # only the last P of the guo-odd series changes, so only its last
+        # term does; the sums are evaluated separately and still agree
+        def bump_last_p(ps, qs):
+            ps[-1] += 1
 
-        def terms(spec):
-            values = list(real(spec))
-            if spec == guo_odd_series(5, 6):
-                values[-1] += 1
-            return values
-
-        monkeypatch.setattr(verifiers_mod, "terms", terms)
+        patch_ratios(monkeypatch, guo_odd_series(5, 6), bump_last_p)
         report = verify_three_series(5, 6)
         assert report.lhs == report.rhs
         assert not report.verdict and report.note == "termwise identity fails"
