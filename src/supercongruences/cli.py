@@ -8,7 +8,8 @@ Exit codes, mutually exclusive:
   0 all checks pass
   1 a verification failed (a congruence did not hold, or a side is not
     p-integral: a report with a ``finding:`` note)
-  2 usage or hypothesis error, or a file that cannot be read or written
+  2 usage or hypothesis error, a file that cannot be read or written, or
+    a case that raised (anything but a usage error prints its traceback)
   3 conjecture scan found a non-integral cell (a finding, not a failure)
   141 the reader closed stdout before the output ended (128 + SIGPIPE, the
     code a shell reports for a process that SIGPIPE killed); nothing more
@@ -26,10 +27,10 @@ later case raises.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+import traceback
 from contextlib import nullcontext
 from dataclasses import fields
 from fractions import Fraction
@@ -105,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--p-max", type=int, help="prime bound")
     p_suite.add_argument("--d-set", type=_int_set, help="comma list of d values")
     p_suite.add_argument("--r-max", type=int, help="max prime-power exponent")
-    p_suite.add_argument("--max-strength", type=int, help="cap on dflst modulus exponent")
     p_suite.add_argument("--seed", type=int, help="seed for sampled deformation points")
     p_suite.add_argument("--jobs", type=int, help="parallel worker processes")
     # every SuiteConfig field, flag or not, starts at the one default it has
@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--d", type=int, required=True, help="series degree parameter d >= 2")
     p_scan.add_argument("--n-max", type=int, required=True, help="scan ceiling for n")
     p_scan.add_argument("--state", help="persistent state file (resume support)")
-    p_scan.add_argument("--format", choices=("plain", "json"), default="plain")
 
     p_primes = sub.add_parser("primes", help="odd primes in an arithmetic progression")
     p_primes.add_argument("--residue", type=int, required=True)
@@ -172,11 +171,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cells = scan_conjecture(args.d, args.n_max, args.state)
-    if args.format == "json":
-        print(json.dumps([c.to_dict() for c in cells], indent=2))
-    else:
-        for cell in cells:
-            print(cell.line())
+    for cell in cells:
+        print(cell.line())
     bad = [c for c in cells if not c.is_integer]
     for cell in bad:
         print(f"NON-INTEGRAL cell d={cell.d} n={cell.n}: {rational_text(cell.value)}", file=sys.stderr)
@@ -203,6 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPE
     except (CongruenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception:
+        # a case that raised: the traceback, with a pool worker's as a note
+        traceback.print_exc()
         return EXIT_USAGE
 
 

@@ -59,15 +59,6 @@ class ConjectureCell:
             f"{int_text(self.value.denominator)} {1 if self.is_integer else 0}"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "numerator": int_text(self.value.numerator),
-            "denominator": int_text(self.value.denominator),
-            "is_integer": self.is_integer,
-        }
-
     @classmethod
     def from_line(cls, line: str) -> ConjectureCell:
         """Parse one state line; ValueError unless it is a consistent cell."""

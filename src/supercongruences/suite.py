@@ -49,7 +49,6 @@ class SuiteConfig:
     p_max: int = 199
     d_set: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
     r_max: int = 2
-    max_strength: int = 3
     sun_p_max: int = 97
     harmonic_p_max: int = 60
     identity_n_max: int = 100
@@ -63,8 +62,6 @@ class SuiteConfig:
             raise ValueError(f"p_max must be >= 5, got {self.p_max}")
         if any(d < 2 for d in self.d_set):
             raise ValueError(f"every d must be >= 2, got {self.d_set}")
-        if self.max_strength not in (2, 3):
-            raise ValueError(f"max_strength must be 2 or 3, got {self.max_strength}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -88,7 +85,7 @@ def _candidates(cfg: SuiteConfig) -> Iterator[tuple[str, dict]]:
     for p in odd_primes_up_to(cfg.p_max):
         yield "rv", dict(p=p)
         for d in cfg.d_set:
-            yield from (("dflst", dict(d=d, p=p, strength=s)) for s in range(2, cfg.max_strength + 1))
+            yield from (("dflst", dict(d=d, p=p, strength=s)) for s in (2, 3))
             yield from ((k, dict(d=d, p=p)) for k in ("guo-linear", "guo-even", "guo-odd", "combined"))
             if p <= cfg.harmonic_p_max:
                 yield from ((k, dict(d=d, p=p)) for k in ("harmonic-even", "harmonic-odd"))

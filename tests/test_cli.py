@@ -124,8 +124,6 @@ class TestSuiteEnumeration:
     @pytest.mark.parametrize(
         "bad,message",
         [
-            ({"max_strength": 1}, "max_strength must be 2 or 3"),
-            ({"max_strength": 5}, "max_strength must be 2 or 3"),
             ({"jobs": 0}, "jobs must be >= 1"),
             ({"jobs": -3}, "jobs must be >= 1"),
         ],
@@ -143,9 +141,9 @@ class TestSuiteEnumeration:
             (SuiteConfig(seed=1), 941, "6edd41ed79f2c2d56fd78a1ef380cfd2b4269e6ccf4e9d56f538552e40304dbb"),
             (SMALL, 135, "bf0f1b2ded85b2a318e6bf3a1f9252258301630d6e4349c763e36d7313956514"),
             (
-                SuiteConfig(p_max=400, d_set=(2, 3, 4, 5, 6, 7, 8, 9, 10, 12), r_max=3, max_strength=2, harmonic_p_max=300),
-                1677,
-                "3b4f735a42e1d73a54fa898b391b620f6939f6cfd5433ee308a7d85345688184",
+                SuiteConfig(p_max=400, d_set=(2, 3, 4, 5, 6, 7, 8, 9, 10, 12), r_max=3, harmonic_p_max=300),
+                1877,
+                "b2e72d30be957a21e715bcec2a7220591c80c828caebe157ec3d019da5dd3448",
             ),
             (
                 SuiteConfig(p_max=1000, d_set=tuple(range(2, 16)), r_max=4),
@@ -358,6 +356,23 @@ class TestVerifyCommand:
         assert cli.main(["verify", "guo-even", "--d", "5", "--p", "9"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_case_that_raises_exits_two(self, monkeypatch, capsys):
+        # a shape bug raises out of the verifier: exit 2 with the traceback,
+        # never exit 1, which only a failed verdict gives
+        real = verifiers_mod.step_ratios
+        third = verifiers_mod.combined_series(4, 5)
+
+        def step_ratios(spec):
+            ps, qs = real(spec)
+            return ps, (2 * q for q in qs) if spec == third else qs
+
+        monkeypatch.setattr(verifiers_mod, "step_ratios", step_ratios)
+        assert cli.main(["verify", "three-series", "--d", "4", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert "RuntimeError: three-series step denominators differ at k = 0" in captured.err
+
     def test_missing_params_exit_two(self, capsys):
         assert cli.main(["verify", "dflst", "--d", "3"]) == 2
 
@@ -517,9 +532,12 @@ class TestSuiteCommand:
         assert exc.value.code == 2
         assert "not a comma-separated int list: '3,x'" in capsys.readouterr().err
 
-    def test_bad_strength_is_suite_config_error(self, capsys):
-        assert cli.main(["suite", "--p-max", "7", "--max-strength", "1"]) == 2
-        assert capsys.readouterr().err == "error: max_strength must be 2 or 3, got 1\n"
+    def test_no_strength_cap(self, capsys):
+        # dflst runs at both strengths wherever they hold; there is no cap
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["suite", "--max-strength", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-strength 2" in capsys.readouterr().err
 
     def test_defaults_come_from_suite_config(self, monkeypatch, capsys):
         args = cli.build_parser().parse_args(["suite"])
@@ -557,6 +575,30 @@ class TestSuiteCommand:
         assert "injected failure" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert lines[0].startswith("case_id") and len(lines) > 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_case_that_raises_exits_two(self, jobs, monkeypatch, capsys):
+        # forked pool workers inherit the patched run_case; the reports of
+        # the cases before the failing one are streamed first
+        real = suite_mod.run_case
+
+        def run_case(case):
+            if case.kind == "liu":
+                raise RuntimeError("injected bug in liu")
+            return real(case)
+
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
+        assert cli.main(["suite", "--p-max", "13", "--d-set", "3", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        before = list(takewhile(lambda c: c.kind != "liu", enumerate_cases(SuiteConfig(p_max=13, d_set=(3,)))))
+        lines = captured.out.splitlines()
+        assert len(lines) == len(before) > 0
+        assert all(line.startswith("pass  ") for line in lines)
+        assert captured.err.startswith("Traceback")
+        assert "RuntimeError: injected bug in liu" in captured.err
+        if jobs == "2" and hasattr(BaseException, "add_note"):
+            # the worker's traceback, carried as a note
+            assert "in _run_batch" in captured.err
 
     def test_parallel_partial_results_written_on_error(self, tmp_path, monkeypatch, capsys):
         # forked pool workers inherit the patched run_case; the reports
@@ -697,16 +739,15 @@ class TestScanCommand:
     def test_value_past_int_str_limit(self, monkeypatch, capsys):
         big = 10**5000 + 7  # str() refuses more than 4300 digits
         monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(n, F(big)) for n in ns])
-        assert cli.main(["scan", "--d", "2", "--n-max", "3", "--format", "json"]) == 0
-        [cell] = json.loads(capsys.readouterr().out)
-        assert cell["numerator"] == "1" + "0" * 4999 + "7"
         assert cli.main(["scan", "--d", "2", "--n-max", "3"]) == 0
         assert capsys.readouterr().out.split()[2] == "1" + "0" * 4999 + "7"
 
     def test_json_format(self, capsys):
-        assert cli.main(["scan", "--d", "2", "--n-max", "5", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data[0] == {"d": 2, "n": 3, "numerator": "5", "denominator": "1", "is_integer": True}
+        # scan prints its state lines, the one form of a cell
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--d", "2", "--n-max", "5", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         assert cli.main(["scan", "--d", "1", "--n-max", "5"]) == 2

@@ -24,6 +24,7 @@ from supercongruences.verifiers import (
     KINDS,
     Case,
     Report,
+    _bind,
     _termwise,
     admissible,
     central_series,
@@ -473,6 +474,44 @@ class TestModularPath:
         cases = [case for case in enumerate_cases(SuiteConfig()) if case.kind == kind]
         assert cases
         assert all(run_case(case).verdict for case in cases)
+
+
+# every kind with a modulus, dflst once per strength
+MODULAR_FAMILIES = [
+    (name, strength)
+    for name, kind in KINDS.items()
+    if kind.k is not None
+    for strength in ((2, 3) if name == "dflst" else (None,))
+]
+
+
+@pytest.fixture(scope="module")
+def default_cases():
+    return enumerate_cases(SuiteConfig())
+
+
+def fails_one_power_past(case):
+    """Whether the case's body, run at p^(k+1) for its modulus p^k, gives
+    two sides that differ."""
+    kind, args = _bind(case)
+    k = kind.k(*args) if callable(kind.k) else kind.k
+    lhs, rhs, *_ = getattr(verifiers_mod, kind.verifier).__wrapped__(*args, ctx=PrimePower(case.p, k + 1))
+    return lhs != rhs
+
+
+class TestNegativeControls:
+    """A verdict alone cannot tell a sharp check from one that compares a
+    side with itself: in every modular family, some default case that
+    passes at its modulus p^k fails at p^(k+1)."""
+
+    def test_every_modular_family(self):
+        assert len(MODULAR_FAMILIES) == 12
+
+    @pytest.mark.parametrize("name,strength", MODULAR_FAMILIES)
+    def test_some_case_fails_one_power_past_its_modulus(self, name, strength, default_cases):
+        cases = [c for c in default_cases if c.kind == name and c.strength == strength]
+        assert cases
+        assert any(run_case(c).verdict and fails_one_power_past(c) for c in cases)
 
 
 # one admissible case per kind, in CASE_KINDS order, with the direct call
