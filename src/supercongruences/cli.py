@@ -9,7 +9,9 @@ Exit codes, mutually exclusive:
   1 a verification failed (a congruence did not hold, or a side is not
     p-integral: a report with a ``finding:`` note)
   2 usage or hypothesis error, a file that cannot be read or written, or
-    a case that raised (anything but a usage error prints its traceback)
+    a case that raised. Usage errors print ``error: <message>``. Anything a
+    case raises but HypothesisViolated is a bug, whatever its type, and
+    prints its traceback (a pool worker's rides along as a note)
   3 conjecture scan found a non-integral cell (a finding, not a failure)
   141 the reader closed stdout before the output ended (128 + SIGPIPE, the
     code a shell reports for a process that SIGPIPE killed); nothing more
@@ -31,7 +33,7 @@ import os
 import re
 import sys
 import traceback
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from fractions import Fraction
 
@@ -130,6 +132,24 @@ def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path")
 
 
+class _CaseRaised(Exception):
+    """A case raised: its exception is the __cause__, reported with its
+    traceback however much it looks like a usage error."""
+
+
+@contextmanager
+def _running_cases():
+    """Mark what the block raises as raised by a case, except a
+    HypothesisViolated (a usage error) and a BrokenPipeError (the reader
+    went away while the reports streamed)."""
+    try:
+        yield
+    except (HypothesisViolated, BrokenPipeError):
+        raise
+    except Exception as exc:
+        raise _CaseRaised from exc
+
+
 def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
@@ -146,7 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if reason is not None:
         raise HypothesisViolated(reason)
     with _open_out(args.out) as out:
-        report = run_case(case)
+        with _running_cases():
+            report = run_case(case)
         _write(out, render([report], args.format))
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
@@ -157,10 +178,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
     done = []
     with _open_out(args.out) as out:
         try:
-            for report in iter_reports(cfg):
-                done.append(report)
-                if stream:
-                    print(report_lines([report])[0], flush=True)
+            with _running_cases():
+                for report in iter_reports(cfg):
+                    done.append(report)
+                    if stream:
+                        print(report_lines([report])[0], flush=True)
         finally:
             # done holds the finished reports in case order; keep them if a case raised
             if not stream:
@@ -197,11 +219,14 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_PIPE
+    except _CaseRaised as exc:
+        traceback.print_exception(exc.__cause__)
+        return EXIT_USAGE
     except (CongruenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
-        # a case that raised: the traceback, with a pool worker's as a note
+        # a bug outside the cases
         traceback.print_exc()
         return EXIT_USAGE
 

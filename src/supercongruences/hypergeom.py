@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from itertools import islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -69,10 +69,30 @@ def _grouped(forms: Iterable[tuple[int, int]]) -> Forms:
 
 
 def _fraction(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    # an exact type test: isinstance against Fraction's numbers ABCs is slow
+    return x if type(x) is Fraction else Fraction(x)
 
 
-@dataclass(frozen=True)
+def _parameters(values: Iterable[RationalLike], *extra: tuple[int, int]) -> tuple[tuple[Fraction, ...], Forms, int]:
+    """The values as Fractions; their linear forms a = u/v -> (u, v),
+    followed by ``extra``, grouped as ``_grouped`` groups them; and the
+    product of their denominators v. One pass."""
+    params = tuple([x if type(x) is Fraction else Fraction(x) for x in values])
+    counts: dict[tuple[int, int], int] = {}
+    den = 1
+    last = None
+    for x in params:
+        # the shapes repeat one object d times: a run of it shares one form
+        if x is not last:
+            form, last = x.as_integer_ratio(), x
+        counts[form] = counts.get(form, 0) + 1
+        den *= form[1]
+    for form in extra:
+        counts[form] = counts.get(form, 0) + 1
+    return params, tuple(counts.items()), den
+
+
+@dataclass(frozen=True, init=False)
 class SeriesSpec:
     """A truncated hypergeometric sum; validation is eager.
 
@@ -80,7 +100,10 @@ class SeriesSpec:
     or below the truncation index, turning a latent division by zero into
     an immediate error. ``forms`` holds the grouped linear forms of the
     upper and lower factors: a + k = (u + v k) / v for a = u/v, and the
-    lower ones end with the (1, 1) of the k + 1 of k!.
+    lower ones end with the (1, 1) of the k + 1 of k!. The step ratio is
+    then P(k)/Q(k) = (c_P prod_upper (u + v k)) / (c_Q prod_lower (u + v k)),
+    with the constants ``consts`` = (c_P, c_Q): z's numerator times the
+    lower denominators v, and z's denominator times the upper ones.
     """
 
     upper: tuple[Fraction, ...]
@@ -88,36 +111,33 @@ class SeriesSpec:
     z: Fraction
     n: int
     forms: tuple[Forms, Forms] = field(init=False, repr=False, compare=False)
+    consts: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(map(_fraction, self.upper)))
-        object.__setattr__(self, "lower", tuple(map(_fraction, self.lower)))
-        object.__setattr__(self, "z", _fraction(self.z))
-        if len(self.upper) != len(self.lower) + 1:
+    def __init__(self, upper: Iterable[RationalLike], lower: Iterable[RationalLike], z: RationalLike, n: int) -> None:
+        upper, upper_forms, upper_den = _parameters(upper)
+        lower, lower_forms, lower_den = _parameters(lower, (1, 1))
+        z = _fraction(z)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "forms", (upper_forms, lower_forms))
+        object.__setattr__(self, "consts", (z.numerator * lower_den, z.denominator * upper_den))
+        if len(upper) != len(lower) + 1:
             raise ValueError(
                 f"need one more upper than lower parameter, got "
-                f"{len(self.upper)} upper / {len(self.lower)} lower"
+                f"{len(upper)} upper / {len(lower)} lower"
             )
-        if self.n < 0:
-            raise ValueError(f"truncation index must be >= 0, got {self.n}")
-        for b in self.lower:
-            j = zero_shift(b, self.n)
+        if n < 0:
+            raise ValueError(f"truncation index must be >= 0, got {n}")
+        for b in lower:
+            j = zero_shift(b, n)
             if j is not None:
-                raise ZeroLowerPochhammer(
-                    f"lower parameter {b} has ({b})_{j + 1} = 0 within truncation {self.n}"
-                )
-        upper = _grouped((a.numerator, a.denominator) for a in self.upper)
-        lower = _grouped([*((b.numerator, b.denominator) for b in self.lower), (1, 1)])
-        object.__setattr__(self, "forms", (upper, lower))
+                raise ZeroLowerPochhammer(f"lower parameter {b} has ({b})_{j + 1} = 0 within truncation {n}")
 
 
 # The constructor by its short name; SeriesSpec coerces ints and Fractions itself.
 series = SeriesSpec
-
-
-def _den_product(forms: Forms) -> int:
-    """The product of the v^mult: each factor a + k is (u + v k) / v."""
-    return prod(v**mult for (_, v), mult in forms)
 
 
 def step_ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterator[int]]:
@@ -126,8 +146,9 @@ def step_ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterat
     down from n - 1 for order = -1."""
     n = spec.n
     upper, lower = spec.forms
-    ps = _linear_products(spec.z.numerator * _den_product(lower), upper, n, order)
-    qs = _linear_products(spec.z.denominator * _den_product(upper), lower, n, order)
+    const_p, const_q = spec.consts
+    ps = _linear_products(const_p, upper, n, order)
+    qs = _linear_products(const_q, lower, n, order)
     return ps, qs
 
 
@@ -256,10 +277,9 @@ def _steps_valuation(
     otherwise the multiples of p^j are the k < n in the class root_j =
     -u/v mod p^j, and root_j grows with j until it passes n."""
     n = spec.n
-    upper, lower = spec.forms
-    const = spec.z.denominator * step_den * _den_product(upper)
+    const = step_den * spec.consts[1]
     total = valuation(w0.denominator, p) + n * valuation(const, p)
-    for (u, v), mult in (*lower, *_grouped(step_forms)):
+    for (u, v), mult in (*spec.forms[1], *_grouped(step_forms)):
         q = p
         while v % p and (root := -u * pow(v, -1, q) % q) < n:
             total += mult * ((n - 1 - root) // q + 1)
@@ -329,8 +349,8 @@ class AffineWeight:
     intercept: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        object.__setattr__(self, "slope", _fraction(self.slope))
+        object.__setattr__(self, "intercept", _fraction(self.intercept))
 
     def at(self, k: int) -> Fraction:
         return self.slope * k + self.intercept

@@ -43,24 +43,26 @@ from .errors import NonIntegralDenominator
 from .primes import is_prime
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """v_p of a nonzero int."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation(q: Fraction | int, p: int) -> int | float:
     """Exact p-adic valuation of a rational; valuation(0) is +infinity."""
-    if not isinstance(q, int):
-        q = Fraction(q)
+    if type(q) is int:
+        return _int_valuation(q, p) if q else math.inf
+    q = Fraction(q)
     if q == 0:
         return math.inf
-
-    def vp(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return vp(q.numerator) - vp(q.denominator)
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrimePower:
     """The modulus context (p, k): residues live in Z/p^k.
 
@@ -69,14 +71,18 @@ class PrimePower:
 
     p: int
     k: int
-    modulus: int = field(init=False, compare=False)
+    modulus: int = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.k < 1:
-            raise ValueError(f"precision exponent must be >= 1, got {self.k}")
-        object.__setattr__(self, "modulus", self.p**self.k)
+    # an __init__ of its own, which sets each field once: the generated one
+    # plus __post_init__ would set them and then the modulus again
+    def __init__(self, p: int, k: int) -> None:
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if k < 1:
+            raise ValueError(f"precision exponent must be >= 1, got {k}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "modulus", p**k)
 
     def __repr__(self) -> str:
         return f"PrimePower({self.p}, {self.k})"
@@ -85,7 +91,7 @@ class PrimePower:
         return f"{self.p}^{self.k}" if self.k > 1 else str(self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Residue:
     """Element of Z/p^k, tagged with its PrimePower context.
 
@@ -97,12 +103,14 @@ class Residue:
     value: int
     ctx: PrimePower
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.ctx.modulus)
+    # the value reduced as it is set, once (see PrimePower)
+    def __init__(self, value: int, ctx: PrimePower) -> None:
+        object.__setattr__(self, "value", value % ctx.modulus)
+        object.__setattr__(self, "ctx", ctx)
 
     def _coerce(self, other: Residue | int) -> Residue:
         if isinstance(other, Residue):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError(f"mixed residue contexts: {self.ctx} vs {other.ctx}")
             return other
         if isinstance(other, int):
@@ -144,7 +152,7 @@ class Residue:
         if isinstance(other, int):
             return self.value == other % self.ctx.modulus
         if isinstance(other, Residue):
-            return self.value == other.value and self.ctx == other.ctx
+            return self.value == other.value and (self.ctx is other.ctx or self.ctx == other.ctx)
         return NotImplemented
 
     def centered(self) -> int:
@@ -162,17 +170,26 @@ class Residue:
         return f"Residue({self.value} mod {self.ctx})"
 
 
+def _representative(q: Fraction | int, ctx: PrimePower) -> int:
+    """The representative in [0, p^k) of a p-integral rational, or
+    NonIntegralDenominator."""
+    if type(q) is int:
+        return q % ctx.modulus
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    den = q.denominator
+    if den % ctx.p == 0:
+        raise NonIntegralDenominator(f"{q} is not p-integral at p={ctx.p}")
+    return q.numerator * pow(den, -1, ctx.modulus) % ctx.modulus
+
+
 def reduce_mod(q: Fraction | int, ctx: PrimePower) -> Residue:
     """Reduce a rational mod p^k via a modular inverse of its denominator.
 
     Raises NonIntegralDenominator when p divides the denominator: the
     quantity is not a p-adic integer, so the reduction is undefined.
     """
-    q = Fraction(q)
-    den = q.denominator
-    if den % ctx.p == 0:
-        raise NonIntegralDenominator(f"{q} is not p-integral at p={ctx.p}")
-    return Residue(q.numerator * pow(den, -1, ctx.modulus), ctx)
+    return Residue(_representative(q, ctx), ctx)
 
 
 def least_nonneg_residue(x: Fraction | int, p: int) -> int:
@@ -245,7 +262,7 @@ class GammaContext:
         self.ctx = ctx
 
     def gamma(self, x: Fraction | int) -> Residue:
-        return gamma_p_int(reduce_mod(x, self.ctx).value, self.ctx)
+        return gamma_p_int(_representative(x, self.ctx), self.ctx)
 
 
 def g1_estimate(x: Fraction | int, p: int) -> Residue:

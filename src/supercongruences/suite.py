@@ -238,10 +238,16 @@ def report_lines(reports: Iterable[Report]) -> list[str]:
 
 
 def to_json(reports: Iterable[Report]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    """A JSON list, one report object per line between the "[" and "]"
+    lines. Each object goes through ``json.dumps`` without ``indent``, which
+    keeps CPython on its C encoder; indent would turn it off."""
+    body = ",\n".join(json.dumps(r.to_dict()) for r in reports)
+    return f"[\n{body}\n]" if body else "[\n]"
 
 
 def from_json(text: str) -> list[Report]:
+    """The reports of a ``to_json`` text, or of any JSON list of report
+    objects, such as the indented files that earlier versions wrote."""
     return [Report.from_dict(d) for d in json.loads(text)]
 
 

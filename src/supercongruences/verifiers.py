@@ -3,11 +3,11 @@
 Each verifier declares its case kind once, with ``@_kind(name, check, k)``;
 k is the exponent of the kind's modulus p^k, and no k marks an exact
 identity. Its body evaluates both sides in the keyword-only ``ctx`` =
-PrimePower(p, k) and returns ``(lhs, rhs[, note])``. The wrapper the
+PrimePower(p, k) and returns ``(lhs, rhs[, note])``. The Kind the
 decorator puts in its place validates the hypotheses first (raising
 HypothesisViolated on a usage error) and returns a Report carrying both
 sides and the modulus; a bare boolean would make failures undiagnosable.
-A body may let NonIntegralDenominator propagate: the wrapper turns a side
+A body may let NonIntegralDenominator propagate: the Kind turns a side
 that is not p-integral into a failing Report with a ``finding:`` note, so
 every mathematical outcome is a Report and run_case raises only for usage
 errors and bugs.
@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 from time import perf_counter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import HypothesisViolated, NonIntegralDenominator
 from .exact import binomial, factorial, parse_int, rational_text, zero_shift
@@ -69,6 +70,8 @@ from .km import KmInstance, km_lhs, km_rhs
 from .padic import GammaContext, PrimePower, Residue, least_nonneg_residue, reduce_mod, valuation
 from .primes import is_prime
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -90,7 +93,7 @@ class Case:
         # rational parameters are stored as Fractions, whatever was passed
         for name in ("alpha", "x", "y"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, Fraction):
+            if value is not None and type(value) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
 
     def sort_key(self) -> tuple:
@@ -117,18 +120,19 @@ class Case:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        for f in fields(self):
-            if f.name == "kind":
-                continue
-            value = getattr(self, f.name)
+        for name, value in zip(PARAMETERS, _parameter_values(self)):
             if value is not None:
-                out[f.name] = str(value) if isinstance(value, Fraction) else value
+                out[name] = str(value) if type(value) is Fraction else value
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> Case:
         return cls(**data)
 
+
+# the Case fields a kind may take, in field order
+PARAMETERS = tuple(f.name for f in fields(Case) if f.name != "kind")
+_parameter_values = attrgetter(*PARAMETERS)
 
 Side = Residue | Fraction | None
 
@@ -186,104 +190,126 @@ class Report:
         )
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *args: object) -> None:
+    """HypothesisViolated(msg.format(*args)) unless cond: the message is
+    formatted only for a case that fails, since most checks pass."""
     if not cond:
-        raise HypothesisViolated(msg)
+        raise HypothesisViolated(msg.format(*args))
 
 
 def _require_prime(p: int) -> None:
-    _require(is_prime(p) and p % 2 == 1, f"p must be an odd prime, got {p}")
+    _require(is_prime(p) and p % 2 == 1, "p must be an odd prime, got {}", p)
 
 
 # ---------------------------------------------------------------------------
 # the registry of case kinds
 
 
-class Kind(NamedTuple):
-    """A case kind as its verifier declares it: the Case fields the verifier
-    takes, in positional order, defaults for the optional ones, the
-    hypothesis check (same parameters), the verifier's module-global
-    name, and the modulus exponent k (an int, a function of the same
-    parameters, or None for an exact identity)."""
+class Kind:
+    """A case kind as its verifier declares it, and that verifier: the
+    Case fields it takes, in positional order, defaults for the optional
+    ones, the hypothesis check (same parameters), the verifier's
+    module-global name, and the modulus exponent k (an int, a function of
+    the same parameters, or None for an exact identity).
 
-    params: tuple[str, ...]
-    defaults: dict[str, object]
-    check: Callable[..., None]
-    verifier: str
-    k: int | Callable[..., int] | None
+    Calling it with those parameters, as ``verify_dflst(3, 7)``, builds
+    the Case and runs it; ``run`` takes a Case whose parameters are bound.
+    Either way the check runs first, then the body in ctx = PrimePower(p, k)
+    (none for an exact kind), timed, and the Report carries the modulus and
+    the verdict ``lhs == rhs and not note``. A NonIntegralDenominator from
+    the body is reported as sides None and the note ``finding: <message>``."""
+
+    def __init__(self, name: str, body: Callable[..., tuple], check: Callable[..., None], k) -> None:
+        signature = inspect.signature(body)
+        signature = signature.replace(
+            parameters=[v for v in signature.parameters.values() if v.kind is not v.KEYWORD_ONLY]
+        )
+        self.name = name
+        self.params = tuple(signature.parameters)
+        self.defaults = {n: v.default for n, v in signature.parameters.items() if v.default is not v.empty}
+        self.check = check
+        self.verifier = body.__name__
+        self.k = k
+        self.body = body
+        # the kind's parameters of a Case, and the other parameters, as tuples;
+        # a case that gives none of the others has them all None
+        get = attrgetter(*self.params)
+        self.args = get if len(self.params) > 1 else lambda case: (get(case),)
+        others = [name for name in PARAMETERS if name not in self.params]
+        self.others = attrgetter(*others)
+        self.no_others = (None,) * len(others)
+        functools.update_wrapper(self, body)
+        self.__signature__ = signature
+
+    def __call__(self, *args, **kwargs) -> Report:
+        if kwargs or len(args) != len(self.params):
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        return self.run(Case(self.name, **dict(zip(self.params, args))))
+
+    def run(self, case: Case) -> Report:
+        args = self.args(case)
+        self.check(*args)
+        k = self.k
+        ctx = None if k is None else PrimePower(case.p, k(*args) if callable(k) else k)
+        t0 = perf_counter()
+        try:
+            lhs, rhs, *note = self.body(*args) if ctx is None else self.body(*args, ctx=ctx)
+        except NonIntegralDenominator as exc:
+            lhs, rhs, note = None, None, [f"finding: {exc}"]
+        note = note[0] if note else ""
+        modulus = "exact" if ctx is None else str(ctx)
+        return Report(case, lhs, rhs, modulus, lhs == rhs and not note, perf_counter() - t0, note)
 
 
 KINDS: dict[str, Kind] = {}
 
 
 def _kind(name: str, check: Callable[..., None], k: int | Callable[..., int] | None = None):
-    """Register the decorated body as case kind ``name`` with modulus p^k.
-    The body takes the kind's parameters, plus a keyword-only ``ctx`` (the
-    PrimePower(p, k)) unless the kind is exact, and returns (lhs, rhs[, note]);
-    the wrapper builds the Case, runs ``check``, builds ``ctx``, times the
-    body and reports the modulus and the verdict ``lhs == rhs and not note``.
-    A NonIntegralDenominator from the body is reported as sides None and the
-    note ``finding: <message>``."""
+    """Register the decorated body as case kind ``name`` with modulus p^k;
+    its module-global name is then bound to the Kind, its verifier. The
+    body takes the kind's parameters, plus a keyword-only ``ctx`` (the
+    PrimePower(p, k)) unless the kind is exact, and returns (lhs, rhs[, note])."""
 
-    def register(body: Callable[..., tuple]) -> Callable[..., Report]:
-        signature = inspect.signature(body)
-        signature = signature.replace(
-            parameters=[v for v in signature.parameters.values() if v.kind is not v.KEYWORD_ONLY]
-        )
-        params = tuple(signature.parameters)
-
-        @functools.wraps(body)
-        def verify(*args, **kwargs) -> Report:
-            if kwargs or len(args) != len(params):
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                args = bound.args
-            case = Case(name, **dict(zip(params, args)))
-            args = [getattr(case, param) for param in params]
-            check(*args)
-            ctx = None if k is None else PrimePower(case.p, k(*args) if callable(k) else k)
-            t0 = perf_counter()
-            try:
-                lhs, rhs, *note = body(*args) if ctx is None else body(*args, ctx=ctx)
-            except NonIntegralDenominator as exc:
-                lhs, rhs, note = None, None, [f"finding: {exc}"]
-            note = note[0] if note else ""
-            modulus = "exact" if ctx is None else str(ctx)
-            return Report(case, lhs, rhs, modulus, lhs == rhs and not note, perf_counter() - t0, note)
-
-        verify.__signature__ = signature
-        defaults = {n: v.default for n, v in signature.parameters.items() if v.default is not v.empty}
-        KINDS[name] = Kind(params, defaults, check, body.__name__, k)
-        return verify
+    def register(body: Callable[..., tuple]) -> Kind:
+        KINDS[name] = Kind(name, body, check, k)
+        return KINDS[name]
 
     return register
 
 
 # ---------------------------------------------------------------------------
-# series shapes
+# series shapes: each parameter is one Fraction(u, v) and each 1 the shared
+# ONE, since Fraction arithmetic such as 1 - Fraction(1, d) costs several
+# constructions and SeriesSpec converts every int it is given
 
 
 def central_series(n_trunc: int) -> SeriesSpec:
     """(1/2)_k^2 / k!^2 summed for k = 0..n_trunc."""
-    return series([HALF, HALF], [1], 1, n_trunc)
+    return series([HALF, HALF], [ONE], ONE, n_trunc)
 
 
 def dflst_series(d: int, n_trunc: int) -> SeriesSpec:
-    return series([1 - Fraction(1, d)] * d, [1] * (d - 1), 1, n_trunc)
+    """((d-1)/d)_k^d / k!^d summed for k = 0..n_trunc."""
+    return series([Fraction(d - 1, d)] * d, [ONE] * (d - 1), ONE, n_trunc)
 
 
 def guo_even_series(d: int, n_trunc: int) -> SeriesSpec:
-    return series([Fraction(1, d) - 1] + [1 + Fraction(1, d)] * (d - 1), [1] * (d - 1), 1, n_trunc)
+    """Upper parameters 1/d - 1 and (1 + 1/d)^(d-1)."""
+    return series([Fraction(1 - d, d)] + [Fraction(d + 1, d)] * (d - 1), [ONE] * (d - 1), ONE, n_trunc)
 
 
 def guo_odd_series(d: int, n_trunc: int) -> SeriesSpec:
+    """Upper parameters (1/d)^2 and (1 + 1/d)^(d-2)."""
     a = Fraction(1, d)
-    return series([a, a] + [1 + a] * (d - 2), [1] * (d - 1), 1, n_trunc)
+    return series([a, a] + [Fraction(d + 1, d)] * (d - 2), [ONE] * (d - 1), ONE, n_trunc)
 
 
 def combined_series(d: int, n_trunc: int) -> SeriesSpec:
-    a = Fraction(1, d)
-    return series([a - 1, a] + [1 + a] * (d - 2), [1] * (d - 1), 1, n_trunc)
+    """Upper parameters 1/d - 1, 1/d and (1 + 1/d)^(d-2)."""
+    upper = [Fraction(1 - d, d), Fraction(1, d)] + [Fraction(d + 1, d)] * (d - 2)
+    return series(upper, [ONE] * (d - 1), ONE, n_trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +317,7 @@ def combined_series(d: int, n_trunc: int) -> SeriesSpec:
 
 
 def _require_rv(p: int) -> None:
-    _require(is_prime(p) and p >= 5, f"need a prime p >= 5, got {p}")
+    _require(is_prime(p) and p >= 5, "need a prime p >= 5, got {}", p)
 
 
 @_kind("rv", _require_rv, k=2)
@@ -304,23 +330,24 @@ def verify_rodriguez_villegas(p: int, *, ctx: PrimePower) -> tuple:
 
 def _require_sun(alpha: Fraction, p: int) -> None:
     _require_prime(p)
-    _require(valuation(alpha, p) == 0, f"alpha = {alpha} must be a unit at p = {p}")
+    _require(valuation(alpha, p) == 0, "alpha = {} must be a unit at p = {}", alpha, p)
 
 
 @_kind("sun", _require_sun, k=2)
 def verify_sun(alpha: Fraction, p: int, *, ctx: PrimePower) -> tuple:
     """2F1(a,1-a;1|1)_{p-1} ≡ (-1)^{<-a>_p} (mod p^2) for a a p-adic unit."""
-    lhs = evaluate_mod(series([alpha, 1 - alpha], [1], 1, p - 1), ctx)
+    u, v = alpha.numerator, alpha.denominator
+    lhs = evaluate_mod(series([alpha, Fraction(v - u, v)], [ONE], ONE, p - 1), ctx)
     rhs = reduce_mod((-1) ** least_nonneg_residue(-alpha, p), ctx)
     return lhs, rhs
 
 
 def _require_dflst(d: int, p: int, strength: int = 2) -> None:
-    _require(d > 1, f"need d > 1, got {d}")
-    _require(strength in (2, 3), f"strength must be 2 or 3, got {strength}")
-    _require(strength == 2 or d >= 3, f"strength 3 needs d >= 3, got d = {d}")
+    _require(d > 1, "need d > 1, got {}", d)
+    _require(strength in (2, 3), "strength must be 2 or 3, got {}", strength)
+    _require(strength == 2 or d >= 3, "strength 3 needs d >= 3, got d = {}", d)
     _require_prime(p)
-    _require(p % d == 1, f"need p ≡ 1 (mod {d}), got p = {p}")
+    _require(p % d == 1, "need p ≡ 1 (mod {}), got p = {}", d, p)
 
 
 @_kind("dflst", _require_dflst, k=lambda d, p, strength: strength)
@@ -336,23 +363,23 @@ def verify_dflst(d: int, p: int, strength: int = 2, *, ctx: PrimePower) -> tuple
 @_kind("guo-linear", _require_dflst, k=2)
 def verify_guo_linear(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """sum k ((d-1)/d)_k^d / k!^d ≡ (d-1) Gamma_p(1/d)^d / (2d) (mod p^2)."""
-    lhs = affine_weighted_mod(AffineWeight(1, 0), dflst_series(d, p - 1), ctx)
+    lhs = affine_weighted_mod(AffineWeight(ONE, ZERO), dflst_series(d, p - 1), ctx)
     g = GammaContext(ctx).gamma(Fraction(1, d))
     rhs = reduce_mod(Fraction(d - 1, 2 * d), ctx) * g**d
     return lhs, rhs
 
 
 def _require_guo_even(d: int, p: int) -> None:
-    _require(d >= 4 and d % 2 == 0, f"need even d >= 4, got {d}")
+    _require(d >= 4 and d % 2 == 0, "need even d >= 4, got {}", d)
     _require_prime(p)
-    _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
-    _require(p >= 2 * d - 1, f"need p >= 2d-1 = {2 * d - 1}, got p = {p}")
+    _require(p % d == d - 1, "need p ≡ -1 (mod {}), got p = {}", d, p)
+    _require(p >= 2 * d - 1, "need p >= 2d-1 = {}, got p = {}", 2 * d - 1, p)
 
 
 def _require_guo_odd(d: int, p: int) -> None:
-    _require(d >= 3 and d % 2 == 1, f"need odd d >= 3, got {d}")
+    _require(d >= 3 and d % 2 == 1, "need odd d >= 3, got {}", d)
     _require_prime(p)
-    _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
+    _require(p % d == d - 1, "need p ≡ -1 (mod {}), got p = {}", d, p)
 
 
 @_kind("guo-even", _require_guo_even, k=2)
@@ -377,14 +404,14 @@ def verify_guo_odd(d: int, p: int, *, ctx: PrimePower) -> tuple:
 
 def _require_central(p: int, r: int) -> None:
     _require_prime(p)
-    _require(p % 4 == 1, f"need p ≡ 1 (mod 4), got p = {p}")
-    _require(r >= 1, f"need r >= 1, got {r}")
+    _require(p % 4 == 1, "need p ≡ 1 (mod 4), got p = {}", p)
+    _require(r >= 1, "need r >= 1, got {}", r)
 
 
 @_kind("guo-central", _require_central, k=lambda p, r: 2 * r + 1)
 def verify_guo_central(p: int, r: int, *, ctx: PrimePower) -> tuple:
     """sum (k - (p^{2r}-1)/4) (1/2)_k^2/k!^2 over k < p^r ≡ 0 (mod p^{2r+1})."""
-    w = AffineWeight(1, -Fraction(p ** (2 * r) - 1, 4))
+    w = AffineWeight(ONE, Fraction(1 - p ** (2 * r), 4))
     lhs = affine_weighted_mod(w, central_series(p**r - 1), ctx)
     rhs = Residue(0, ctx)
     return lhs, rhs
@@ -395,7 +422,7 @@ def verify_harmonic_even(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """The harmonic-difference weighted sum over (m-1)_k (m+1)_k^{d-1},
     m = (p+1)/d, against (p-1)!/((m-2)! m!^{d-1}) (1/m + 1/(m-1)) mod p."""
     m = (p + 1) // d
-    spec = series([m - 1] + [m + 1] * (d - 1), [1] * (d - 1), 1, p - 1)
+    spec = series([Fraction(m - 1)] + [Fraction(m + 1)] * (d - 1), [ONE] * (d - 1), ONE, p - 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 2) * factorial(m) ** (d - 1)) * (
         Fraction(1, m) + Fraction(1, m - 1)
     )
@@ -407,13 +434,13 @@ def verify_harmonic_odd(d: int, p: int, *, ctx: PrimePower) -> tuple:
     """The harmonic-difference weighted sum over (m)_k^2 (m+1)_k^{d-2},
     m = (p+1)/d, against (p-1)!/((m-1)! m!^{d-1}) mod p."""
     m = (p + 1) // d
-    spec = series([m, m] + [m + 1] * (d - 2), [1] * (d - 1), 1, p - 1)
+    spec = series([Fraction(m)] * 2 + [Fraction(m + 1)] * (d - 2), [ONE] * (d - 1), ONE, p - 1)
     rhs_exact = Fraction(factorial(p - 1), factorial(m - 1) * factorial(m) ** (d - 1))
     return harmonic_weighted_mod(spec, m, m + 1, ctx), reduce_mod(rhs_exact, ctx)
 
 
 def _require_four_k_plus_one(n: int) -> None:
-    _require(n >= 1, f"need n >= 1, got {n}")
+    _require(n >= 1, "need n >= 1, got {}", n)
 
 
 @_kind("four-k-plus-one", _require_four_k_plus_one)
@@ -433,8 +460,8 @@ def verify_liu(p: int, r: int, *, ctx: PrimePower) -> tuple:
 
 
 def _require_three_series(d: int, n: int) -> None:
-    _require(d >= 2, f"need d >= 2, got {d}")
-    _require(n >= 0, f"need a truncation >= 0, got {n}")
+    _require(d >= 2, "need d >= 2, got {}", d)
+    _require(n >= 0, "need a truncation >= 0, got {}", n)
 
 
 def _termwise(d: int, sa: SeriesSpec, sb: SeriesSpec, sc: SeriesSpec) -> bool:
@@ -469,10 +496,10 @@ def verify_three_series(d: int, n: int) -> tuple:
 
 
 def _require_combined(d: int, p: int) -> None:
-    _require(d >= 3, f"need d >= 3, got {d}")
+    _require(d >= 3, "need d >= 3, got {}", d)
     _require_prime(p)
-    _require(p % d == d - 1, f"need p ≡ -1 (mod {d}), got p = {p}")
-    _require(p != d - 1, f"p = d-1 = {p} is excluded")
+    _require(p % d == d - 1, "need p ≡ -1 (mod {}), got p = {}", d, p)
+    _require(p != d - 1, "p = d-1 = {} is excluded", p)
 
 
 @_kind("combined", _require_combined, k=2)
@@ -488,8 +515,8 @@ def _require_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> None:
     _require_guo_even(d, p)
     for name, value in (("x", x), ("y", y)):
         # the lower parameter 1+value must not reach 0 within truncation p-1
-        message = f"need {name} outside -1..-{p - 1}, got {name} = {value}"
-        _require(zero_shift(1 + value, p - 1) is None, message)
+        message = "need {0} outside -1..-{1}, got {0} = {2}"
+        _require(zero_shift(1 + value, p - 1) is None, message, name, p - 1, value)
 
 
 @_kind("km-deformed", _require_km_deformed)
@@ -506,30 +533,32 @@ def verify_km_deformed(d: int, p: int, x: Fraction, y: Fraction) -> tuple:
 CASE_KINDS = tuple(KINDS)
 
 
-def _bind(case: Case) -> tuple[Kind, list]:
-    """The case's kind and its verifier's arguments; HypothesisViolated for
-    an unknown kind, a missing parameter or one the kind does not take."""
+def _bind(case: Case) -> tuple[Kind, Case]:
+    """The case's kind, and the case with the kind's defaults filled in;
+    HypothesisViolated for an unknown kind, a missing parameter or one the
+    kind does not take."""
     kind = KINDS.get(case.kind)
     if kind is None:
         raise HypothesisViolated(f"unknown case kind {case.kind!r}")
-    given = {k: v for k, v in vars(case).items() if k != "kind" and v is not None}
-    args = {**kind.defaults, **given}
-    missing = [name for name in kind.params if name not in args]
+    args = kind.args(case)
+    absent = [name for name, value in zip(kind.params, args) if value is None] if None in args else []
+    missing = [name for name in absent if name not in kind.defaults]
     if missing:
         raise HypothesisViolated(f"case {case.kind!r} is missing parameters: {', '.join(missing)}")
-    extra = [name for name in given if name not in kind.params]
-    if extra:
-        names = ", ".join(extra)
-        raise HypothesisViolated(f"case {case.kind!r} does not take parameters: {names}")
-    return kind, [args[name] for name in kind.params]
+    if kind.others(case) != kind.no_others:
+        extra = [name for name in PARAMETERS if name not in kind.params and getattr(case, name) is not None]
+        raise HypothesisViolated(f"case {case.kind!r} does not take parameters: {', '.join(extra)}")
+    if absent:
+        case = replace(case, **{name: kind.defaults[name] for name in absent})
+    return kind, case
 
 
 def admissible(case: Case) -> str | None:
     """Why run_case would reject the case (the message of the
     HypothesisViolated it would raise), or None if it is admissible."""
     try:
-        kind, args = _bind(case)
-        kind.check(*args)
+        kind, case = _bind(case)
+        kind.check(*kind.args(case))
     except HypothesisViolated as exc:
         return str(exc)
     return None
@@ -538,6 +567,8 @@ def admissible(case: Case) -> str | None:
 def run_case(case: Case) -> Report:
     """Run the verifier a Case describes. The verifier is looked up by its
     module-global name at each call, so a caller may rebind it (to trace
-    it, say)."""
-    kind, args = _bind(case)
-    return globals()[kind.verifier](*args)
+    it, say): the registered Kind runs the bound case as it is, and
+    anything else bound there is called with the case's parameters."""
+    kind, case = _bind(case)
+    verifier = globals()[kind.verifier]
+    return kind.run(case) if verifier is kind else verifier(*kind.args(case))

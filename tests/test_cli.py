@@ -173,6 +173,18 @@ class TestSuiteRun:
             assert a.modulus == b.modulus and a.verdict == b.verdict
             assert a.elapsed == pytest.approx(b.elapsed) and a.note == b.note
 
+    def test_json_one_report_per_line(self):
+        reports = run_suite(TINY)
+        text = to_json(reports)
+        lines = text.split("\n")
+        assert lines[0] == "[" and lines[-1] == "]" and len(lines) == len(reports) + 2
+        assert [Report.from_dict(json.loads(line.removesuffix(","))) for line in lines[1:-1]] == reports
+        assert all(line.endswith(",") for line in lines[1:-2]) and not lines[-2].endswith(",")
+        # the indented layout that earlier versions wrote still loads
+        indented = json.dumps([r.to_dict() for r in reports], indent=2)
+        assert from_json(indented) == from_json(text) == reports
+        assert to_json([]) == "[\n]" and from_json(to_json([])) == []
+
     def test_render_json_is_to_json(self):
         reports = run_suite(TINY)
         assert render(reports, "json") == to_json(reports)
@@ -372,6 +384,20 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("Traceback")
         assert "RuntimeError: three-series step denominators differ at k = 0" in captured.err
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, CongruenceError])
+    def test_library_error_in_a_case_prints_its_traceback(self, error, monkeypatch, capsys):
+        # the types that also mark usage errors: raised by a case, they are a
+        # bug, reported with the traceback and never as "error: <message>"
+        def run_case(case):
+            raise error("bug in rv")
+
+        monkeypatch.setattr(cli, "run_case", run_case)
+        assert cli.main(["verify", "rv", "--p", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " not in captured.err
+        assert captured.err.startswith("Traceback") and "in run_case" in captured.err
+        assert f"{error.__name__}: bug in rv" in captured.err
 
     def test_missing_params_exit_two(self, capsys):
         assert cli.main(["verify", "dflst", "--d", "3"]) == 2
@@ -599,6 +625,31 @@ class TestSuiteCommand:
         if jobs == "2" and hasattr(BaseException, "add_note"):
             # the worker's traceback, carried as a note
             assert "in _run_batch" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("error", [ValueError, OSError, CongruenceError])
+    def test_library_error_in_a_case_prints_its_traceback(self, error, jobs, tmp_path, monkeypatch, capsys):
+        # forked pool workers inherit the patched run_case; the reports of
+        # the cases before the failing one still land in the file
+        real = suite_mod.run_case
+
+        def run_case(case):
+            if case.kind == "liu":
+                raise error("bug in liu")
+            return real(case)
+
+        monkeypatch.setattr(suite_mod, "run_case", run_case)
+        out = tmp_path / "partial.csv"
+        argv = ["suite", "--p-max", "13", "--d-set", "3", "--jobs", jobs, "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "error: " not in err
+        assert f"{error.__name__}: bug in liu" in err
+        if jobs == "2" and hasattr(BaseException, "add_note"):
+            assert "in _run_batch" in err
+        before = list(takewhile(lambda c: c.kind != "liu", enumerate_cases(SuiteConfig(p_max=13, d_set=(3,)))))
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert [row[0] for row in rows[1:]] == [c.label() for c in before] and before
 
     def test_parallel_partial_results_written_on_error(self, tmp_path, monkeypatch, capsys):
         # forked pool workers inherit the patched run_case; the reports

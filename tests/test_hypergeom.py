@@ -51,6 +51,43 @@ def naive_sum(upper, lower, z, n, weight=lambda k: 1):
     return total
 
 
+# parameter lists as runs of one object (as the verifier shapes build them),
+# with ints, negatives and equal values in separate runs
+PARAMETER_RUNS = st.lists(
+    st.tuples(st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 4))), st.integers(1, 3)),
+    max_size=4,
+).map(lambda runs: [x for x, count in runs for _ in range(count)])
+
+
+def naive_forms(upper, lower):
+    """SeriesSpec.forms as first written: each parameter as a Fraction,
+    then equal forms counted, the lower ones followed by the (1, 1) of k!."""
+
+    def grouped(forms):
+        counts = {}
+        for form in forms:
+            counts[form] = counts.get(form, 0) + 1
+        return tuple(counts.items())
+
+    upper, lower = [F(a) for a in upper], [F(b) for b in lower]
+    return (
+        grouped([(a.numerator, a.denominator) for a in upper]),
+        grouped([*((b.numerator, b.denominator) for b in lower), (1, 1)]),
+    )
+
+
+def naive_spec_error(upper, lower, n):
+    """The (type, message) SeriesSpec raises, checked in its order, or None."""
+    if len(upper) != len(lower) + 1:
+        return ValueError, f"need one more upper than lower parameter, got {len(upper)} upper / {len(lower)} lower"
+    if n < 0:
+        return ValueError, f"truncation index must be >= 0, got {n}"
+    for b in map(F, lower):
+        if b.denominator == 1 and -n < b <= 0:
+            return ZeroLowerPochhammer, f"lower parameter {b} has ({b})_{1 - b} = 0 within truncation {n}"
+    return None
+
+
 class TestSeriesSpec:
     def test_parameter_count_enforced(self):
         with pytest.raises(ValueError):
@@ -70,6 +107,38 @@ class TestSeriesSpec:
     def test_upper_zeros_are_fine(self):
         # terminating upper parameters are routine
         assert evaluate_exact(series([-2, 1], [1], 1, 5)) == naive_sum([-2, 1], [1], 1, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        upper=PARAMETER_RUNS,
+        lower=PARAMETER_RUNS,
+        z=st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 6))),
+        n=st.integers(-1, 6),
+        counts_match=st.booleans(),
+    )
+    def test_one_pass_against_naive_grouping(self, upper, lower, z, n, counts_match):
+        if counts_match:
+            upper = (upper + [1] * len(lower))[: len(lower) + 1]
+        try:
+            spec = series(upper, lower, z, n)
+        except (ValueError, ZeroLowerPochhammer) as exc:
+            assert (type(exc), str(exc)) == naive_spec_error(upper, lower, n)
+        else:
+            assert naive_spec_error(upper, lower, n) is None
+            assert spec.forms == naive_forms(upper, lower)
+            dens = [prod(F(x).denominator for x in xs) for xs in (lower, upper)]
+            assert spec.consts == (F(z).numerator * dens[0], F(z).denominator * dens[1])
+            assert spec.upper == tuple(map(F, upper)) and spec.lower == tuple(map(F, lower))
+            assert all(type(x) is F for x in (*spec.upper, *spec.lower, spec.z))
+
+    def test_verifier_shapes_equal_their_fraction_arithmetic(self):
+        # the shapes build each parameter as one Fraction(u, v)
+        for d in range(2, 9):
+            a = F(1, d)
+            assert dflst_series(d, 5) == series([1 - a] * d, [1] * (d - 1), 1, 5)
+            assert guo_even_series(d, 5) == series([a - 1] + [1 + a] * (d - 1), [1] * (d - 1), 1, 5)
+            assert guo_odd_series(d, 5) == series([a, a] + [1 + a] * (d - 2), [1] * (d - 1), 1, 5)
+            assert combined_series(d, 5) == series([a - 1, a] + [1 + a] * (d - 2), [1] * (d - 1), 1, 5)
 
 
 class TestTerms:

@@ -493,7 +493,8 @@ def default_cases():
 def fails_one_power_past(case):
     """Whether the case's body, run at p^(k+1) for its modulus p^k, gives
     two sides that differ."""
-    kind, args = _bind(case)
+    kind, case = _bind(case)
+    args = kind.args(case)
     k = kind.k(*args) if callable(kind.k) else kind.k
     lhs, rhs, *_ = getattr(verifiers_mod, kind.verifier).__wrapped__(*args, ctx=PrimePower(case.p, k + 1))
     return lhs != rhs
@@ -513,6 +514,17 @@ class TestNegativeControls:
         assert cases
         assert any(run_case(c).verdict and fails_one_power_past(c) for c in cases)
 
+
+# inadmissible cases and the full message of the check that rejects them
+FAILED_HYPOTHESES = [
+    (Case("dflst", d=3, p=11), "need p ≡ 1 (mod 3), got p = 11"),
+    (Case("dflst", d=2, p=7, strength=3), "strength 3 needs d >= 3, got d = 2"),
+    (Case("guo-even", d=4, p=3), "need p >= 2d-1 = 7, got p = 3"),
+    (Case("sun", alpha=F(7, 2), p=7), "alpha = 7/2 must be a unit at p = 7"),
+    (Case("km-deformed", d=4, p=7, x=F(1, 2), y=-2), "need y outside -1..-6, got y = -2"),
+    (Case("combined", d=4, p=3), "p = d-1 = 3 is excluded"),
+    (Case("rv", p=9), "need a prime p >= 5, got 9"),
+]
 
 # one admissible case per kind, in CASE_KINDS order, with the direct call
 # that should give the same report
@@ -574,6 +586,21 @@ class TestReportsAndDispatch:
         assert run_case(Case("dflst", d=3, p=7)).case.strength == 2
         with pytest.raises(HypothesisViolated, match="strength must be 2 or 3, got 0"):
             run_case(Case("dflst", d=3, p=7, strength=0))
+
+    def test_dispatch_fills_defaults_like_the_direct_call(self):
+        # run_case hands the bound case to the verifier whole; the direct
+        # call builds it from the parameters
+        report = run_case(Case("dflst", d=3, p=7))
+        assert report.case.strength == 2 and report == verify_dflst(3, 7)
+        assert report.to_dict() | {"elapsed_ms": 0} == verify_dflst(3, 7).to_dict() | {"elapsed_ms": 0}
+
+    @pytest.mark.parametrize("case, message", FAILED_HYPOTHESES, ids=[case.kind for case, _ in FAILED_HYPOTHESES])
+    def test_failed_hypothesis_keeps_its_full_message(self, case, message):
+        # the checks format their message only when they fail
+        assert admissible(case) == message
+        with pytest.raises(HypothesisViolated) as exc:
+            run_case(case)
+        assert str(exc.value) == message
 
     def test_dispatch_matches_direct_call(self):
         direct = verify_guo_even(4, 7)
