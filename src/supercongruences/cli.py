@@ -20,10 +20,11 @@ Exit codes, mutually exclusive:
 A negative rational may follow ``--alpha``, ``--x`` or ``--y`` bare, as in
 ``--x -1/2``: argparse alone would read ``-1/2`` as an option.
 
-``--out`` is opened before any case runs, so a bad path costs no work,
+``--out`` is checked before any case runs, so a bad path costs no work,
 but only once ``verify``'s hypotheses hold, so a usage error leaves no
-empty file; ``suite`` still writes the reports that finished when a
-later case raises.
+empty file. ``verify`` writes the path only once its report is ready: a
+case that raises leaves an existing file as it was and no new one;
+``suite`` still writes the reports that finished when a later case raises.
 """
 
 from __future__ import annotations
@@ -154,6 +155,26 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
+@contextmanager
+def _claimed_out(path: str | None):
+    """Check that ``path`` can be written before the block runs, without
+    changing it: an existing file is opened to append and closed again, a
+    missing one is created, and removed again if the block raises."""
+    created = False
+    if path:
+        try:
+            open(path, "x").close()
+            created = True
+        except FileExistsError:
+            open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def _write(out, text: str) -> None:
     """Write text with a trailing newline, unless it already ends in one."""
     print(text, file=out, end="" if text.endswith("\n") else "\n")
@@ -165,10 +186,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reason = admissible(case)
     if reason is not None:
         raise HypothesisViolated(reason)
-    with _open_out(args.out) as out:
+    with _claimed_out(args.out):
         with _running_cases():
             report = run_case(case)
-        _write(out, render([report], args.format))
+        text = render([report], args.format)
+    with _open_out(args.out) as out:
+        _write(out, text)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 

@@ -27,7 +27,7 @@ def pochhammer(x: RationalLike, n: int) -> Fraction:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
     x = Fraction(x)
     u, v = x.numerator, x.denominator
-    return Fraction(math.prod(u + v * j for j in range(n)), v**n)
+    return Fraction(math.prod(range(u, u + v * n, v)), v**n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,21 +5,25 @@ an argument z, and an inclusive truncation index n; the k-th term is
 
     (a_0)_k ... (a_r)_k / ((b_1)_k ... (b_r)_k) * z^k / k!
 
-Every sum, plain or weighted, is a product of integer step matrices
-(Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-rational numbers", ANTS 1998): step k advances the state
-(t_k, w_k t_k, sum_{j<k} w_j t_j) to k+1 by a lower-triangular integer
-matrix over one integer denominator Q(k) D(k). The exact sum folds runs
-of _LEAF consecutive steps into leaves in a tight loop, multiplies the
-leaves pairwise up a balanced tree and builds a single ``Fraction`` at
+Every exact sum is a product of integer step matrices (Haible &
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", ANTS 1998), in one of two node shapes. A plain sum's step k
+advances (t_k, sum_{j<k} t_j) to k+1 by a lower-triangular integer matrix
+over Q(k), and a product of such steps is three entries (a, d, e). A
+weighted sum's step advances (t_k, w_k t_k, sum_{j<k} w_j t_j) over
+Q(k) D(k), and its products are five entries. One routine, ``_product``,
+takes the shape's leaf and merge functions: it folds runs of _LEAF
+consecutive steps into leaves in a tight loop, multiplies the leaves
+pairwise up a balanced tree, and the sum builds a single ``Fraction`` at
 the end. A product stands for its matrix over its denominator, so
 dividing all its entries by their gcd leaves it the same map; each merged
 product whose denominator is wider than _STRIP_BITS is divided so. Most of
 a wide product is such common content: unstripped, the km-deformed sum at
-d = 6, p = 977 ends on a denominator of 65,659 bits, 65,553 of them
-common to all five entries, for a value of about 2,500 bits. ``terms``
-yields the terms one by one from the same integer ratios,
-``step_ratios``.
+d = 6, p = 977, x = -7/3, y = 5/2 ends on a denominator of 63,079 bits,
+63,054 of them common to all three entries, for a value of about 2,500
+bits. Most affine weights become one more parameter pair of a plain sum
+(``affine_weighted_sum``). ``terms`` yields the terms one by one from the
+same integer ratios, ``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -45,10 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from itertools import islice, repeat
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NonIntegralDenominator, ZeroLowerPochhammer
 # shifted_harmonic and reduce_mod are unused here but stay bound: bench/tracing.py wraps them by name
@@ -185,10 +190,11 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
     raise AssertionError("unreachable")
 
 
-# A product of steps is (a, b, c, d, e), the integer matrix
-# [[a, 0, 0], [b, a, 0], [c, d, e]] acting on (t, w t, acc) over the
-# denominator e; every step, and so every product, has this shape.
-_Step = tuple[int, int, int, int, int]
+# A product of steps ends with its denominator e. A plain sum's is (a, d, e),
+# the matrix [[a, 0], [d, e]] acting on (t, acc) over e; a weighted sum's is
+# (a, b, c, d, e), [[a, 0, 0], [b, a, 0], [c, d, e]] acting on (t, w t, acc).
+_Plain = tuple[int, int, int]
+_Weighted = tuple[int, int, int, int, int]
 
 # Steps folded into one leaf before it enters the tree, and the width of e
 # past which a merged product is divided by its content.
@@ -196,26 +202,36 @@ _LEAF = 16
 _STRIP_BITS = 2048
 
 
-def _compose(later: _Step, earlier: _Step) -> _Step:
+def _compose_plain(later: _Plain, earlier: _Plain) -> _Plain:
+    a2, d2, e2 = later
+    a1, d1, e1 = earlier
+    return (a2 * a1, d2 * a1 + e2 * d1, e2 * e1)
+
+
+def _compose_weighted(later: _Weighted, earlier: _Weighted) -> _Weighted:
     a2, b2, c2, d2, e2 = later
     a1, b1, c1, d1, e1 = earlier
     return (a2 * a1, b2 * a1 + a2 * b1, c2 * a1 + d2 * b1 + e2 * c1, d2 * a1 + e2 * d1, e2 * e1)
 
 
-def _strip(node: _Step) -> _Step:
-    """The node divided by g = gcd of its five entries. The node stands
-    for the map M/e, and both M and e are divided by g, so the map and
-    every sum built from it stay the same."""
+def _strip(node: tuple[int, ...]) -> tuple[int, ...]:
+    """The node divided by g = gcd of its entries. The node stands for
+    the map M/e, and both M and e are divided by g, so the map and every
+    sum built from it stay the same."""
     g = gcd(*node)
     return node if g == 1 else tuple(x // g for x in node)
 
 
-def _merged(later: _Step, earlier: _Step) -> _Step:
-    node = _compose(later, earlier)
-    return _strip(node) if node[4].bit_length() > _STRIP_BITS else node
+def _plain_leaf(steps: Iterable[tuple[int, int]]) -> _Plain:
+    """The product of a run of steps (P, Q), folded one at a time: each
+    acts on the product by (a, d, e) -> (P a, Q (a + d), Q e)."""
+    a, d, e = 1, 0, 1
+    for p, q in steps:
+        a, d, e = p * a, q * (a + d), q * e
+    return a, d, e
 
 
-def _leaf(steps: Iterable[tuple[int, int, int]], step_num: int) -> _Step:
+def _weighted_leaf(steps: Iterable[tuple[int, int, int]], step_num: int) -> _Weighted:
     """The product of a run of steps (P, Q, D), folded one at a time: each
     step's d and e entries are both Q D, so it acts on the product by
     (a, b, c, d, e) -> (PD a, PN a + PD b, QD (b + c), QD (a + d), QD e)."""
@@ -224,6 +240,46 @@ def _leaf(steps: Iterable[tuple[int, int, int]], step_num: int) -> _Step:
         pd, qd = p * dk, q * dk
         a, b, c, d, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * (a + d), qd * e
     return a, b, c, d, e
+
+
+def _product(steps: Iterator, n: int, leaf: Callable, compose: Callable, identity: tuple[int, ...]) -> tuple:
+    """The product of the n steps, of either shape: ``leaf`` folds runs of
+    _LEAF steps, ``compose`` multiplies the leaves pairwise up a balanced
+    tree, and each merged product whose e is wider than _STRIP_BITS is
+    stripped of its content."""
+
+    def merged(later: tuple, earlier: tuple) -> tuple:
+        node = compose(later, earlier)
+        return _strip(node) if node[-1].bit_length() > _STRIP_BITS else node
+
+    # products of 2^j consecutive leaves, earliest first, sizes strictly
+    # decreasing: equal neighbours merge as each leaf arrives, so the
+    # tree stays balanced and only O(log n) products are alive at a time
+    stack: list[tuple[int, tuple]] = []
+    for _ in range(0, n, _LEAF):
+        size, node = 1, leaf(islice(steps, _LEAF))
+        while stack and stack[-1][0] == size:
+            node = merged(node, stack.pop()[1])
+            size *= 2
+        stack.append((size, node))
+    # start from the latest node, not the identity: composing with the
+    # identity would strip a wide node that is already stripped
+    product = stack.pop()[1] if stack else identity
+    for _, node in reversed(stack):
+        product = merged(product, node)
+    return product
+
+
+def _plain_sum(ps: Iterator[int], qs: Iterator[int], n: int, w0: Fraction = Fraction(1)) -> Fraction:
+    """Exact w0 sum_{k<=n} t_k, where t_0 = 1 and t_{k+1}/t_k = P(k)/Q(k)
+    for the first n of ``ps`` and ``qs``. Step k is
+
+        t'   = t P       / Q
+        acc' = (acc + t) Q / Q
+    """
+    a, d, e = _product(zip(ps, qs), n, _plain_leaf, _compose_plain, (1, 0, 1))
+    # start from (t, acc) = (1, 0); the sum is acc_n + t_n
+    return Fraction(w0.numerator * (a + d), w0.denominator * e)
 
 
 def _weighted_sum(
@@ -247,21 +303,8 @@ def _weighted_sum(
     """
     ps, qs = step_ratios(spec)
     ds = _linear_products(step_den, _grouped(step_forms), spec.n)
-    steps = zip(ps, qs, ds)
-    # products of 2^j consecutive leaves, earliest first, sizes strictly
-    # decreasing: equal neighbours merge as each leaf arrives, so the
-    # tree stays balanced and only O(log n) products are alive at a time
-    stack: list[tuple[int, _Step]] = []
-    for _ in range(0, spec.n, _LEAF):
-        size, node = 1, _leaf(islice(steps, _LEAF), step_num)
-        while stack and stack[-1][0] == size:
-            node = _merged(node, stack.pop()[1])
-            size *= 2
-        stack.append((size, node))
-    product = (1, 0, 0, 0, 1)
-    for _, node in reversed(stack):
-        product = _merged(product, node)
-    a, b, c, d, e = product
+    leaf = partial(_weighted_leaf, step_num=step_num)
+    a, b, c, d, e = _product(zip(ps, qs, ds), spec.n, leaf, _compose_weighted, (1, 0, 0, 0, 1))
     # start from (t, v, acc) = (1, w0, 0); the sum is acc_n + v_n
     wn, wd = w0.numerator, w0.denominator
     return Fraction((b + c) * wd + (a + d) * wn, e * wd)
@@ -332,7 +375,7 @@ def _weighted_mod(
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
     """Exact value of the truncated sum."""
-    return _weighted_sum(spec, Fraction(1))
+    return _plain_sum(*step_ratios(spec), spec.n)
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
@@ -357,8 +400,23 @@ class AffineWeight:
 
 
 def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
-    """Exact sum of (slope*k + intercept) * t_k over the truncation range."""
-    return _weighted_sum(spec, w.intercept, w.slope.numerator, w.slope.denominator)
+    """Exact sum of (slope*k + intercept) * t_k over the truncation range.
+
+    A weight s k + i with i != 0 is i (c + k)/c = i (c+1)_k/(c)_k for
+    c = i/s = u/v, so the sum is i times the plain sum of the series with
+    one more parameter pair, c + 1 over c: its step ratio is P(k) (u + v + v k)
+    over Q(k) (u + v k), defined when c + k != 0 for every k < n. A weight
+    with s = 0 is i times the plain sum. The others, where c is an integer
+    in (-n, 0] (c = 0 is i = 0), take the weighted tree."""
+    s, i, n = w.slope, w.intercept, spec.n
+    ps, qs = step_ratios(spec)
+    if s:
+        u, v = (i / s).as_integer_ratio()
+        if v == 1 and -n < u <= 0:
+            return _weighted_sum(spec, i, s.numerator, s.denominator)
+        ps = map(mul, ps, range(u + v, u + v + v * n, v))
+        qs = map(mul, qs, range(u, u + v * n, v))
+    return _plain_sum(ps, qs, n, i)
 
 
 def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:

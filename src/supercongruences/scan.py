@@ -75,7 +75,7 @@ class ConjectureCell:
 
 def admissible_n(d: int, n_max: int) -> list[int]:
     """All n <= n_max with n ≡ -1 (mod d) and n > d-1, ascending."""
-    return [n for n in range(d, n_max + 1) if n % d == d - 1]
+    return list(range(2 * d - 1, n_max + 1, d))
 
 
 def conjecture_value(d: int, n: int) -> Fraction:

@@ -516,6 +516,23 @@ class TestFileErrors:
         assert cli.main(["verify", "rv", "--p", "7", "--out", out]) == 2
         assert calls == []
 
+    def test_case_that_raises_leaves_out_path_alone(self, tmp_path, monkeypatch, capsys):
+        def run_case(case):
+            raise RuntimeError("bug in rv")
+
+        monkeypatch.setattr(cli, "run_case", run_case)
+        out = tmp_path / "v.json"
+        argv = ["verify", "rv", "--p", "7", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: bug in rv" in err
+        assert not out.exists()
+        out.write_text("kept")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: bug in rv" in err
+        assert out.read_text() == "kept"
+
     def test_hypothesis_error_leaves_out_file_alone(self, tmp_path, capsys):
         argv = ["verify", "guo-even", "--d", "5", "--p", "9"]
         assert cli.main(argv) == 2

@@ -7,7 +7,7 @@ from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import supercongruences.hypergeom as hypergeom_mod
@@ -341,18 +341,28 @@ def clear_of(n):
 
 
 @st.composite
-def specs(draw):
-    n = draw(st.integers(0, 40))
+def specs(draw, ns=st.integers(0, 40)):
+    n = draw(ns)
     r = draw(st.integers(0, 3))
     upper = draw(st.lists(rationals, min_size=r + 1, max_size=r + 1))
     lower = draw(st.lists(clear_of(n), min_size=r, max_size=r))
     return series(upper, lower, draw(rationals), n)
 
 
+# truncations around the tree's leaf: none, within one leaf, whole leaves, past one
+TREE_NS = st.one_of(
+    st.just(0),
+    st.integers(1, _LEAF - 1),
+    st.sampled_from([_LEAF, 2 * _LEAF, 3 * _LEAF]),
+    st.integers(_LEAF + 1, 3 * _LEAF + 5),
+)
+
+
 class TestTreeAgainstLoops:
-    @settings(max_examples=150, deadline=None)
-    @given(spec=specs())
+    @settings(max_examples=200, deadline=None)
+    @given(spec=specs(TREE_NS))
     def test_plain(self, spec):
+        # evaluate_exact runs the three-entry product
         assert evaluate_exact(spec) == loop_evaluate(spec)
 
     @settings(max_examples=150, deadline=None)
@@ -389,6 +399,56 @@ class TestTreeAgainstLoops:
         assert evaluate_exact(spec) == loop_evaluate(spec) == naive_sum([F(1, 2), 1], [-n], F(-1, 2), n)
         assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
         assert harmonic_weighted_sum(spec, -n, F(1, 2)) == loop_harmonic(spec, -n, F(1, 2))
+
+
+AFFINE_ROUTES = ("slope 0", "intercept 0", "c hits -k", "c clear")
+
+
+class TestAffineRoutes:
+    """affine_weighted_sum's plain-product routes against the weighted tree
+    that every other affine weight takes, which stays their oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=specs(TREE_NS), route=st.sampled_from(AFFINE_ROUTES), data=st.data())
+    def test_against_weighted_tree(self, spec, route, data):
+        n = spec.n
+        nonzero = rationals.filter(bool)
+        if route == "slope 0":
+            s, i = F(0), data.draw(rationals)
+        elif route == "intercept 0":
+            s, i = data.draw(nonzero), F(0)
+        else:
+            s = data.draw(nonzero)
+            if route == "c hits -k":
+                assume(n >= 2)
+                c = F(-data.draw(st.integers(1, n - 1)))  # c + k = 0 at some 0 < k < n
+            else:
+                c = data.draw(clear_of(n).filter(bool))
+            i = c * s
+        assert affine_weighted_sum(AffineWeight(s, i), spec) == _weighted_sum(spec, i, s.numerator, s.denominator)
+
+    @pytest.mark.parametrize(
+        "slope, intercept, tree",
+        [
+            (0, F(5, 2), False),  # i times the plain sum
+            (F(-3, 7), 0, True),  # c = 0
+            (2, -6, True),  # c = -3 hits -k within k < 7
+            (2, -14, False),  # c = -7: the weight is 0 at k = n only
+            (4, 1, False),  # four-k-plus-one's weight, c = 1/4
+        ],
+    )
+    def test_route(self, slope, intercept, tree, monkeypatch):
+        calls = []
+        real = hypergeom_mod._weighted_sum
+
+        def weighted_sum(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hypergeom_mod, "_weighted_sum", weighted_sum)
+        spec, w = central_series(7), AffineWeight(slope, intercept)
+        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
+        assert bool(calls) == tree
 
 
 def tree_shapes(n):
@@ -449,6 +509,7 @@ class TestStrippedTree:
         node = (6, -10, 14, 22, -30)
         assert hypergeom_mod._strip(node) == (3, -5, 7, 11, -15)
         assert hypergeom_mod._strip((3, -5, 7, 11, -15)) == (3, -5, 7, 11, -15)
+        assert hypergeom_mod._strip((-4, 6, 10)) == (-2, 3, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ class TestAdmissibility:
             for n in admissible_n(d, 40):
                 assert n % d == d - 1 and n > d - 1
 
+    def test_range_matches_filter_over_every_n(self):
+        # oracle: the filter over every n that the arithmetic range replaced
+        for d in range(1, 10):
+            for n_max in range(-2, 201):
+                assert admissible_n(d, n_max) == [n for n in range(d, n_max + 1) if n % d == d - 1]
+
 
 class TestScan:
     def test_stateless_scan(self):
