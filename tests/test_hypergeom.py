@@ -401,15 +401,16 @@ class TestTreeAgainstLoops:
         assert harmonic_weighted_sum(spec, -n, F(1, 2)) == loop_harmonic(spec, -n, F(1, 2))
 
 
-AFFINE_ROUTES = ("slope 0", "intercept 0", "c hits -k", "c clear")
-
-
 class TestAffineRoutes:
     """affine_weighted_sum's plain-product routes against the weighted tree
     that every other affine weight takes, which stays their oracle."""
 
     @settings(max_examples=300, deadline=None)
-    @given(spec=specs(TREE_NS), route=st.sampled_from(AFFINE_ROUTES), data=st.data())
+    @given(
+        spec=specs(TREE_NS),
+        route=st.sampled_from(["slope 0", "intercept 0", "c hits -k", "c clear"]),
+        data=st.data(),
+    )
     def test_against_weighted_tree(self, spec, route, data):
         n = spec.n
         nonzero = rationals.filter(bool)
