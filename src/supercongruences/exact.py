@@ -20,12 +20,24 @@ RationalLike = Fraction | int
 factorial = math.factorial
 
 
+def to_fraction(x: RationalLike) -> Fraction:
+    """x as a Fraction. A float raises TypeError: it stands for its binary
+    expansion, not for the rational its text names (0.1 is 3602879701896397
+    / 2^55, not 1/10), so it is never taken as an exact rational."""
+    # an exact type test: isinstance against Fraction's numbers ABCs is slow
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"need an exact rational (Fraction or int), got the float {x!r}")
+    return Fraction(x)
+
+
 def pochhammer(x: RationalLike, n: int) -> Fraction:
     """Rising factorial (x)_n = x(x+1)...(x+n-1), with (x)_0 = 1: for
     x = u/v, one integer product prod (u + v j) over v^n."""
     if n < 0:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
-    x = Fraction(x)
+    x = to_fraction(x)
     u, v = x.numerator, x.denominator
     return Fraction(math.prod(range(u, u + v * n, v)), v**n)
 
@@ -57,7 +69,7 @@ def shifted_harmonic(c: RationalLike, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError(f"shifted_harmonic needs k >= 0, got {k}")
-    c = Fraction(c)
+    c = to_fraction(c)
     check_harmonic_shift(c, k)
     return sum((1 / (c + j) for j in range(k)), Fraction(0))
 

@@ -5,25 +5,25 @@ an argument z, and an inclusive truncation index n; the k-th term is
 
     (a_0)_k ... (a_r)_k / ((b_1)_k ... (b_r)_k) * z^k / k!
 
-Every exact sum is a product of integer step matrices (Haible &
-Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", ANTS 1998), in one of two node shapes. A plain sum's step k
-advances (t_k, sum_{j<k} t_j) to k+1 by a lower-triangular integer matrix
-over Q(k), and a product of such steps is three entries (a, d, e). A
-weighted sum's step advances (t_k, w_k t_k, sum_{j<k} w_j t_j) over
-Q(k) D(k), and its products are five entries. One routine, ``_product``,
-takes the shape's leaf and merge functions: it folds runs of _LEAF
-consecutive steps into leaves in a tight loop, multiplies the leaves
-pairwise up a balanced tree, and the sum builds a single ``Fraction`` at
-the end. A product stands for its matrix over its denominator, so
-dividing all its entries by their gcd leaves it the same map; each merged
-product whose denominator is wider than _STRIP_BITS is divided so. Most of
-a wide product is such common content: unstripped, the km-deformed sum at
-d = 6, p = 977, x = -7/3, y = 5/2 ends on a denominator of 63,079 bits,
-63,054 of them common to all three entries, for a value of about 2,500
-bits. Most affine weights become one more parameter pair of a plain sum
-(``affine_weighted_sum``). ``terms`` yields the terms one by one from the
-same integer ratios, ``step_ratios``.
+A plain sum is a product of integer step matrices (Haible & Papanikolaou,
+"Fast multiprecision evaluation of series of rational numbers", ANTS
+1998): step k advances (t_k, sum_{j<k} t_j) to k+1 by a lower-triangular
+integer matrix over Q(k), and a product of such steps is three entries
+(a, d, e). ``_product`` folds runs of _LEAF consecutive steps into leaves
+in a tight loop, multiplies the leaves pairwise up a balanced tree, and
+the sum builds a single ``Fraction`` at the end. A product stands for its
+matrix over its denominator, so dividing all its entries by their gcd
+leaves it the same map; each merged product whose denominator is wider
+than _STRIP_BITS is divided so. Most of a wide product is such common
+content: unstripped, the km-deformed sum at d = 6, p = 977, x = -7/3,
+y = 5/2 ends on a denominator of 63,079 bits, 63,054 of them common to
+all three entries, for a value of about 2,500 bits. Most affine weights
+become one more parameter pair of a plain sum (``affine_weighted_sum``).
+The other weighted sums, harmonic weights and affine ones whose c = i/s
+is an integer in (-n, 0], run ``_weighted_sum``: a recurrence on five
+entries, one step at a time, quadratic in n. No check runs it; the tests
+hold the plain routes and the folds to it. ``terms`` yields the terms one
+by one from the same integer ratios, ``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -40,24 +40,23 @@ O(n) steps on numbers of about (k+V) log2 p bits. Every sum folds by
 Horner from the last step, sum_(j>=k) t_j/t_k = 1 + P(k)/Q(k)
 sum_(j>k) t_j/t_(k+1): two products per step for a plain sum; a weighted
 sum also carries the weight differences, in (u, g, e). Where V is small
-next to n this beats the exact tree by far; at V near n/2 (the central
-sum through p^6 - 1 at p = 5) the two cost about the same. The exact tree
-serves the exact sums, and is the oracle the tests hold the fold to.
+next to n this beats the exact sum by far; at V near n/2 (the central
+sum through p^6 - 1 at p = 5) the two cost about the same. The exact sums
+serve the exact kinds, and are the oracles the tests hold the fold to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from itertools import islice, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NonIntegralDenominator, ZeroLowerPochhammer
 # shifted_harmonic and reduce_mod are unused here but stay bound: bench/tracing.py wraps them by name
-from .exact import RationalLike, check_harmonic_shift, shifted_harmonic, zero_shift
+from .exact import RationalLike, check_harmonic_shift, shifted_harmonic, to_fraction, zero_shift
 from .padic import PrimePower, Residue, reduce_mod, valuation
 
 
@@ -73,16 +72,11 @@ def _grouped(forms: Iterable[tuple[int, int]]) -> Forms:
     return tuple(counts.items())
 
 
-def _fraction(x: RationalLike) -> Fraction:
-    # an exact type test: isinstance against Fraction's numbers ABCs is slow
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _parameters(values: Iterable[RationalLike], *extra: tuple[int, int]) -> tuple[tuple[Fraction, ...], Forms, int]:
     """The values as Fractions; their linear forms a = u/v -> (u, v),
     followed by ``extra``, grouped as ``_grouped`` groups them; and the
     product of their denominators v. One pass."""
-    params = tuple([x if type(x) is Fraction else Fraction(x) for x in values])
+    params = tuple([x if type(x) is Fraction else to_fraction(x) for x in values])
     counts: dict[tuple[int, int], int] = {}
     den = 1
     last = None
@@ -121,7 +115,7 @@ class SeriesSpec:
     def __init__(self, upper: Iterable[RationalLike], lower: Iterable[RationalLike], z: RationalLike, n: int) -> None:
         upper, upper_forms, upper_den = _parameters(upper)
         lower, lower_forms, lower_den = _parameters(lower, (1, 1))
-        z = _fraction(z)
+        z = to_fraction(z)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "z", z)
@@ -190,11 +184,9 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
     raise AssertionError("unreachable")
 
 
-# A product of steps ends with its denominator e. A plain sum's is (a, d, e),
-# the matrix [[a, 0], [d, e]] acting on (t, acc) over e; a weighted sum's is
-# (a, b, c, d, e), [[a, 0, 0], [b, a, 0], [c, d, e]] acting on (t, w t, acc).
+# A product of steps (a, d, e) ends with its denominator e: the matrix
+# [[a, 0], [d, e]] acting on (t, acc) over e.
 _Plain = tuple[int, int, int]
-_Weighted = tuple[int, int, int, int, int]
 
 # Steps folded into one leaf before it enters the tree, and the width of e
 # past which a merged product is divided by its content.
@@ -208,13 +200,7 @@ def _compose_plain(later: _Plain, earlier: _Plain) -> _Plain:
     return (a2 * a1, d2 * a1 + e2 * d1, e2 * e1)
 
 
-def _compose_weighted(later: _Weighted, earlier: _Weighted) -> _Weighted:
-    a2, b2, c2, d2, e2 = later
-    a1, b1, c1, d1, e1 = earlier
-    return (a2 * a1, b2 * a1 + a2 * b1, c2 * a1 + d2 * b1 + e2 * c1, d2 * a1 + e2 * d1, e2 * e1)
-
-
-def _strip(node: tuple[int, ...]) -> tuple[int, ...]:
+def _strip(node: _Plain) -> _Plain:
     """The node divided by g = gcd of its entries. The node stands for
     the map M/e, and both M and e are divided by g, so the map and every
     sum built from it stay the same."""
@@ -231,42 +217,31 @@ def _plain_leaf(steps: Iterable[tuple[int, int]]) -> _Plain:
     return a, d, e
 
 
-def _weighted_leaf(steps: Iterable[tuple[int, int, int]], step_num: int) -> _Weighted:
-    """The product of a run of steps (P, Q, D), folded one at a time: each
-    step's d and e entries are both Q D, so it acts on the product by
-    (a, b, c, d, e) -> (PD a, PN a + PD b, QD (b + c), QD (a + d), QD e)."""
-    a, b, c, d, e = 1, 0, 0, 0, 1
-    for p, q, dk in steps:
-        pd, qd = p * dk, q * dk
-        a, b, c, d, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * (a + d), qd * e
-    return a, b, c, d, e
+def _merged(later: _Plain, earlier: _Plain) -> _Plain:
+    node = _compose_plain(later, earlier)
+    return _strip(node) if node[2].bit_length() > _STRIP_BITS else node
 
 
-def _product(steps: Iterator, n: int, leaf: Callable, compose: Callable, identity: tuple[int, ...]) -> tuple:
-    """The product of the n steps, of either shape: ``leaf`` folds runs of
-    _LEAF steps, ``compose`` multiplies the leaves pairwise up a balanced
+def _product(steps: Iterator[tuple[int, int]], n: int) -> _Plain:
+    """The product of the n steps: ``_plain_leaf`` folds runs of _LEAF
+    steps, ``_compose_plain`` multiplies the leaves pairwise up a balanced
     tree, and each merged product whose e is wider than _STRIP_BITS is
     stripped of its content."""
-
-    def merged(later: tuple, earlier: tuple) -> tuple:
-        node = compose(later, earlier)
-        return _strip(node) if node[-1].bit_length() > _STRIP_BITS else node
-
     # products of 2^j consecutive leaves, earliest first, sizes strictly
     # decreasing: equal neighbours merge as each leaf arrives, so the
     # tree stays balanced and only O(log n) products are alive at a time
-    stack: list[tuple[int, tuple]] = []
+    stack: list[tuple[int, _Plain]] = []
     for _ in range(0, n, _LEAF):
-        size, node = 1, leaf(islice(steps, _LEAF))
+        size, node = 1, _plain_leaf(islice(steps, _LEAF))
         while stack and stack[-1][0] == size:
-            node = merged(node, stack.pop()[1])
+            node = _merged(node, stack.pop()[1])
             size *= 2
         stack.append((size, node))
     # start from the latest node, not the identity: composing with the
     # identity would strip a wide node that is already stripped
-    product = stack.pop()[1] if stack else identity
+    product = stack.pop()[1] if stack else (1, 0, 1)
     for _, node in reversed(stack):
-        product = merged(product, node)
+        product = _merged(product, node)
     return product
 
 
@@ -277,7 +252,7 @@ def _plain_sum(ps: Iterator[int], qs: Iterator[int], n: int, w0: Fraction = Frac
         t'   = t P       / Q
         acc' = (acc + t) Q / Q
     """
-    a, d, e = _product(zip(ps, qs), n, _plain_leaf, _compose_plain, (1, 0, 1))
+    a, d, e = _product(zip(ps, qs), n)
     # start from (t, acc) = (1, 0); the sum is acc_n + t_n
     return Fraction(w0.numerator * (a + d), w0.denominator * e)
 
@@ -298,13 +273,18 @@ def _weighted_sum(
         v'   = (v P D + t P N) / (Q D)      (v = w t)
         acc' = (acc + v) Q D   / (Q D)
 
+    A product of steps (a, b, c, d, e) is the matrix [[a, 0, 0], [b, a, 0],
+    [c, d, e]] acting on (t, v, acc) over e, and each step acts on it by
+    (a, b, c, d, e) -> (PD a, PN a + PD b, QD (b + c), QD (a + d), QD e).
     Only the steps k < n are built: the ratio and the weight step are
     guaranteed finite there (SeriesSpec checks b + j for j < n), not at n.
     """
     ps, qs = step_ratios(spec)
     ds = _linear_products(step_den, _grouped(step_forms), spec.n)
-    leaf = partial(_weighted_leaf, step_num=step_num)
-    a, b, c, d, e = _product(zip(ps, qs, ds), spec.n, leaf, _compose_weighted, (1, 0, 0, 0, 1))
+    a, b, c, d, e = 1, 0, 0, 0, 1
+    for p, q, dk in zip(ps, qs, ds):
+        pd, qd = p * dk, q * dk
+        a, b, c, d, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * (a + d), qd * e
     # start from (t, v, acc) = (1, w0, 0); the sum is acc_n + v_n
     wn, wd = w0.numerator, w0.denominator
     return Fraction((b + c) * wd + (a + d) * wn, e * wd)
@@ -392,8 +372,8 @@ class AffineWeight:
     intercept: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slope", _fraction(self.slope))
-        object.__setattr__(self, "intercept", _fraction(self.intercept))
+        object.__setattr__(self, "slope", to_fraction(self.slope))
+        object.__setattr__(self, "intercept", to_fraction(self.intercept))
 
     def at(self, k: int) -> Fraction:
         return self.slope * k + self.intercept
@@ -407,7 +387,7 @@ def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
     one more parameter pair, c + 1 over c: its step ratio is P(k) (u + v + v k)
     over Q(k) (u + v k), defined when c + k != 0 for every k < n. A weight
     with s = 0 is i times the plain sum. The others, where c is an integer
-    in (-n, 0] (c = 0 is i = 0), take the weighted tree."""
+    in (-n, 0] (c = 0 is i = 0), take the weighted recurrence, ``_weighted_sum``."""
     s, i, n = w.slope, w.intercept, spec.n
     ps, qs = step_ratios(spec)
     if s:
@@ -430,8 +410,8 @@ def _harmonic_steps(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> tup
     sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j): it steps by 1/(c1+k) -
     1/(c2+k) = (v1 u2 - v2 u1) / ((u1 + v1 k)(u2 + v2 k)) for c = u/v; a
     zero summand denominator within range is rejected up front."""
-    c1 = Fraction(c1)
-    c2 = Fraction(c2)
+    c1 = to_fraction(c1)
+    c2 = to_fraction(c2)
     check_harmonic_shift(c1, spec.n)
     check_harmonic_shift(c2, spec.n)
     u1, v1 = c1.numerator, c1.denominator

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisViolated, ZeroLowerPochhammer
-from .exact import factorial, pochhammer
+from .exact import factorial, pochhammer, to_fraction
 from .hypergeom import SeriesSpec, evaluate_exact, series
 
 
@@ -32,7 +32,7 @@ class KmInstance:
         if fractional:
             raise ValueError(f"shifts must be integers, got {', '.join(map(str, fractional))}")
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
+        object.__setattr__(self, "b", tuple(map(to_fraction, self.b)))
         if len(self.m) != len(self.b):
             raise ValueError(f"got {len(self.m)} shifts but {len(self.b)} parameters")
         if not self.m:
@@ -48,7 +48,7 @@ class KmInstance:
 def km_series(inst: KmInstance, a: Fraction | int, n: int) -> SeriesSpec:
     """The unit-argument series with leading upper parameter a over the
     instance's parameter pairs, truncated at n."""
-    upper = (Fraction(a),) + tuple(b + m for m, b in zip(inst.m, inst.b))
+    upper = (to_fraction(a),) + tuple(b + m for m, b in zip(inst.m, inst.b))
     return series(upper, inst.b, 1, n)
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonIntegralDenominator
+from .exact import to_fraction
 from .primes import is_prime
 
 
@@ -56,7 +57,7 @@ def valuation(q: Fraction | int, p: int) -> int | float:
     """Exact p-adic valuation of a rational; valuation(0) is +infinity."""
     if type(q) is int:
         return _int_valuation(q, p) if q else math.inf
-    q = Fraction(q)
+    q = to_fraction(q)
     if q == 0:
         return math.inf
     return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
@@ -176,7 +177,7 @@ def _representative(q: Fraction | int, ctx: PrimePower) -> int:
     if type(q) is int:
         return q % ctx.modulus
     if type(q) is not Fraction:
-        q = Fraction(q)
+        q = to_fraction(q)
     den = q.denominator
     if den % ctx.p == 0:
         raise NonIntegralDenominator(f"{q} is not p-integral at p={ctx.p}")
@@ -274,7 +275,7 @@ def g1_estimate(x: Fraction | int, p: int) -> Residue:
     """
     if p < 5:
         raise ValueError(f"first-order expansion needs p >= 5, got {p}")
-    x = Fraction(x)
+    x = to_fraction(x)
     gc = GammaContext(PrimePower(p, 2))
     base = gc.gamma(x)
     shifted = gc.gamma(x + p)

@@ -37,7 +37,7 @@ DEFAULT_DEFORMED_PAIRS = ((4, 7), (4, 11), (6, 11))
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Bounds and output options for a full verification run.
+    """Bounds, sampling seed and worker count for a full verification run.
 
     The defaults reproduce the library's reference grids: the main
     congruence families sweep primes up to p_max, the alpha family has

@@ -51,7 +51,7 @@ from time import perf_counter
 from typing import Callable
 
 from .errors import HypothesisViolated, NonIntegralDenominator
-from .exact import binomial, factorial, parse_int, rational_text, zero_shift
+from .exact import binomial, factorial, parse_int, rational_text, to_fraction, zero_shift
 from .hypergeom import (
     AffineWeight,
     SeriesSpec,
@@ -94,7 +94,7 @@ class Case:
         for name in ("alpha", "x", "y"):
             value = getattr(self, name)
             if value is not None and type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, name, to_fraction(value))
 
     def sort_key(self) -> tuple:
         return (

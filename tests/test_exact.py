@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from supercongruences.errors import ZeroLowerPochhammer
+from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import (
     binomial,
     check_harmonic_shift,
@@ -19,7 +19,12 @@ from supercongruences.exact import (
     pochhammer,
     rational_text,
     shifted_harmonic,
+    to_fraction,
 )
+from supercongruences.hypergeom import AffineWeight, SeriesSpec, harmonic_weighted_sum, series
+from supercongruences.km import KmInstance, km_series
+from supercongruences.padic import GammaContext, PrimePower, Residue, g1_estimate, reduce_mod, valuation
+from supercongruences.verifiers import Case
 
 F = Fraction
 
@@ -203,3 +208,47 @@ class TestDerivativeIdentities:
             lhs = -pochhammer_derivative(base, k) / value**2
             rhs = -shifted_harmonic(base, k) / value
             assert lhs == rhs
+
+
+CTX5 = PrimePower(5, 1)
+CENTRAL4 = series([F(1, 2), F(1, 2)], [1], 1, 4)
+
+# each rational entry point, called with x where it takes a rational
+RATIONAL_ENTRY_POINTS = {
+    "valuation": lambda x: valuation(x, 5),
+    "reduce_mod": lambda x: reduce_mod(x, CTX5),
+    "gamma": lambda x: GammaContext(CTX5).gamma(x),
+    "g1_estimate": lambda x: g1_estimate(x, 5),
+    "series-upper": lambda x: SeriesSpec([x, 1], [1], 1, 3),
+    "series-lower": lambda x: SeriesSpec([1, 1], [x], 1, 3),
+    "series-z": lambda x: SeriesSpec([1, 1], [1], x, 3),
+    "weight-slope": lambda x: AffineWeight(x, 1),
+    "weight-intercept": lambda x: AffineWeight(1, x),
+    "pochhammer": lambda x: pochhammer(x, 2),
+    "shifted_harmonic": lambda x: shifted_harmonic(x, 2),
+    "harmonic_weighted_sum": lambda x: harmonic_weighted_sum(CENTRAL4, x, 1),
+    "KmInstance": lambda x: KmInstance((1,), (x,)),
+    "km_series": lambda x: km_series(KmInstance((1,), (1,)), x, 1),
+    "Case-alpha": lambda x: Case("sun", alpha=x, p=7),
+    "Case-x": lambda x: Case("km-deformed", d=4, p=7, x=x, y=0),
+}
+
+
+class TestFloatsRefused:
+    """A float is its binary expansion, not the rational its text names:
+    every rational entry point refuses it, where the Fraction it stands
+    for by eye is taken exactly."""
+
+    @pytest.mark.parametrize("call", RATIONAL_ENTRY_POINTS.values(), ids=RATIONAL_ENTRY_POINTS)
+    def test_float_raises(self, call):
+        with pytest.raises(TypeError, match=r"got the float 0\.1$"):
+            call(0.1)
+
+    def test_the_rational_is_taken_exactly(self):
+        assert valuation(F(1, 10), 5) == -1
+        assert valuation(F(1, 10), 2) == -1
+        assert pochhammer(F(1, 10), 2) == F(11, 100)
+        assert to_fraction(3) == F(3) and to_fraction(F(1, 10)) == F(1, 10)
+        with pytest.raises(NonIntegralDenominator):
+            reduce_mod(F(1, 10), CTX5)
+        assert reduce_mod(F(1, 3), CTX5) == Residue(2, CTX5)

@@ -306,7 +306,7 @@ class TestHarmonicWeightedSum:
 
 
 # ---------------------------------------------------------------------------
-# the binary-splitting tree against the Fraction loops it replaced
+# the exact sums against the Fraction loops they replaced
 
 
 def loop_evaluate(spec):
@@ -402,8 +402,8 @@ class TestTreeAgainstLoops:
 
 
 class TestAffineRoutes:
-    """affine_weighted_sum's plain-product routes against the weighted tree
-    that every other affine weight takes, which stays their oracle."""
+    """affine_weighted_sum's plain-product routes against the weighted
+    recurrence that every other affine weight takes, which stays their oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -411,7 +411,7 @@ class TestAffineRoutes:
         route=st.sampled_from(["slope 0", "intercept 0", "c hits -k", "c clear"]),
         data=st.data(),
     )
-    def test_against_weighted_tree(self, spec, route, data):
+    def test_against_weighted_recurrence(self, spec, route, data):
         n = spec.n
         nonzero = rationals.filter(bool)
         if route == "slope 0":
@@ -429,7 +429,7 @@ class TestAffineRoutes:
         assert affine_weighted_sum(AffineWeight(s, i), spec) == _weighted_sum(spec, i, s.numerator, s.denominator)
 
     @pytest.mark.parametrize(
-        "slope, intercept, tree",
+        "slope, intercept, recurrence",
         [
             (0, F(5, 2), False),  # i times the plain sum
             (F(-3, 7), 0, True),  # c = 0
@@ -438,7 +438,7 @@ class TestAffineRoutes:
             (4, 1, False),  # four-k-plus-one's weight, c = 1/4
         ],
     )
-    def test_route(self, slope, intercept, tree, monkeypatch):
+    def test_route(self, slope, intercept, recurrence, monkeypatch):
         calls = []
         real = hypergeom_mod._weighted_sum
 
@@ -449,11 +449,11 @@ class TestAffineRoutes:
         monkeypatch.setattr(hypergeom_mod, "_weighted_sum", weighted_sum)
         spec, w = central_series(7), AffineWeight(slope, intercept)
         assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
-        assert bool(calls) == tree
+        assert bool(calls) == recurrence
 
 
 def tree_shapes(n):
-    """Specs truncated at n for the stripped tree: central, km-shaped
+    """Specs truncated at n for the plain tree: central, km-shaped
     (terminating at its total shift n), dflst, one with negative lower
     parameters and z (negative step denominators), and one whose upper
     parameter -(n//2 + 1) zeroes the terms past n//2 + 1."""
@@ -469,8 +469,8 @@ def tree_shapes(n):
 
 
 class TestStrippedTree:
-    """The tree with chunked leaves and stripped nodes against the termwise
-    loops, at truncations around the leaf size and past the strip width."""
+    """The exact sums against the termwise loops, at truncations around the
+    plain tree's leaf size and past its strip width."""
 
     SIZES = sorted({0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 300})
 
@@ -507,14 +507,13 @@ class TestStrippedTree:
             assert strips["calls"] == 0  # one leaf, narrower than the strip width
 
     def test_stripping_keeps_the_node_map(self):
-        node = (6, -10, 14, 22, -30)
-        assert hypergeom_mod._strip(node) == (3, -5, 7, 11, -15)
-        assert hypergeom_mod._strip((3, -5, 7, 11, -15)) == (3, -5, 7, 11, -15)
+        assert hypergeom_mod._strip((6, -10, 14)) == (3, -5, 7)
+        assert hypergeom_mod._strip((3, -5, 7)) == (3, -5, 7)
         assert hypergeom_mod._strip((-4, 6, 10)) == (-2, 3, 5)
 
 
 # ---------------------------------------------------------------------------
-# the fold mod p^k against the exact tree reduced
+# the fold mod p^k against the exact sums reduced
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

@@ -476,6 +476,44 @@ class TestModularPath:
         assert all(run_case(case).verdict for case in cases)
 
 
+class TestNoWeightedRecurrence:
+    """No check runs the weighted recurrence, which is quadratic in n: it
+    is made to raise, and every case of the default suite still passes."""
+
+    def test_default_suite(self, monkeypatch, default_cases):
+        def refuse(*args, **kwargs):
+            raise ExactPathTaken
+
+        monkeypatch.setattr(hypergeom_mod, "_weighted_sum", refuse)
+        assert {case.kind for case in default_cases} == set(CASE_KINDS)
+        assert all(run_case(case).verdict for case in default_cases)
+
+
+class TestStatedTruncation:
+    """Each modular kind sums its series to the truncation its congruence
+    states, k < p, or k < p^r for the prefix sums of guo-central and liu.
+    The verdict cannot show it, since the terms a shorter sum drops may
+    vanish mod p^k: the series reaching each fold is recorded instead."""
+
+    # the folds the verifiers call, and where each takes its series
+    FOLDS = (("evaluate_mod", 0), ("affine_weighted_mod", 1), ("harmonic_weighted_mod", 0))
+
+    @pytest.mark.parametrize("kind", TestModularPath.FOLDED)
+    def test_series_reaches_stated_truncation(self, kind, monkeypatch, default_cases):
+        truncations = []
+        for name, at in self.FOLDS:
+
+            def recording(*args, fold=getattr(verifiers_mod, name), at=at):
+                truncations.append(args[at].n)
+                return fold(*args)
+
+            monkeypatch.setattr(verifiers_mod, name, recording)
+        # the case with the largest r, so that p^r - 1 and p - 1 differ
+        case = max((c for c in default_cases if c.kind == kind), key=lambda c: (c.r or 0, c.p))
+        assert run_case(case).verdict
+        assert truncations == [case.p ** (case.r or 1) - 1]
+
+
 # every kind with a modulus, dflst once per strength
 MODULAR_FAMILIES = [
     (name, strength)
