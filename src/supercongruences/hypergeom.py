@@ -9,21 +9,22 @@ A plain sum is a product of integer step matrices (Haible & Papanikolaou,
 "Fast multiprecision evaluation of series of rational numbers", ANTS
 1998): step k advances (t_k, sum_{j<k} t_j) to k+1 by a lower-triangular
 integer matrix over Q(k), and a product of such steps is three entries
-(a, d, e). ``_product`` folds runs of _LEAF consecutive steps into leaves
-in a tight loop, multiplies the leaves pairwise up a balanced tree, and
-the sum builds a single ``Fraction`` at the end. A product stands for its
-matrix over its denominator, so dividing all its entries by their gcd
-leaves it the same map; each merged product whose denominator is wider
-than _STRIP_BITS is divided so. Most of a wide product is such common
-content: unstripped, the km-deformed sum at d = 6, p = 977, x = -7/3,
-y = 5/2 ends on a denominator of 63,079 bits, 63,054 of them common to
-all three entries, for a value of about 2,500 bits. Most affine weights
-become one more parameter pair of a plain sum (``affine_weighted_sum``).
-The other weighted sums, harmonic weights and affine ones whose c = i/s
-is an integer in (-n, 0], run ``_weighted_sum``: a recurrence on five
-entries, one step at a time, quadratic in n. No check runs it; the tests
-hold the plain routes and the folds to it. ``terms`` yields the terms one
-by one from the same integer ratios, ``step_ratios``.
+(a, d, e). ``_product`` halves the run of steps recursively, at a
+multiple of _LEAF, folds runs of up to _LEAF steps one at a time in a
+tight loop, and composes the halves on the way up; the sum builds a
+single ``Fraction`` at the end. A product stands for its matrix over its
+denominator, so dividing all its entries by their gcd leaves it the same
+map; each composite whose denominator is wider than _STRIP_BITS is
+divided so. Most of a wide product is such common content: unstripped,
+the km-deformed sum at d = 6, p = 977, x = -7/3, y = 5/2 ends on a
+denominator of 63,079 bits, 63,054 of them common to all three entries,
+for a value of about 2,500 bits. Most affine weights become one more
+parameter pair of a plain sum (``affine_weighted_sum``). The other
+weighted sums, harmonic weights and affine ones whose c = i/s is an
+integer in (-n, 0], run ``_weighted_sum``: a recurrence on five entries,
+one step at a time, quadratic in n. No check runs it; the tests hold the
+plain routes and the folds to it. ``terms`` yields the terms one by one
+from the same integer ratios, ``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -194,12 +195,6 @@ _LEAF = 16
 _STRIP_BITS = 2048
 
 
-def _compose_plain(later: _Plain, earlier: _Plain) -> _Plain:
-    a2, d2, e2 = later
-    a1, d1, e1 = earlier
-    return (a2 * a1, d2 * a1 + e2 * d1, e2 * e1)
-
-
 def _strip(node: _Plain) -> _Plain:
     """The node divided by g = gcd of its entries. The node stands for
     the map M/e, and both M and e are divided by g, so the map and every
@@ -208,41 +203,22 @@ def _strip(node: _Plain) -> _Plain:
     return node if g == 1 else tuple(x // g for x in node)
 
 
-def _plain_leaf(steps: Iterable[tuple[int, int]]) -> _Plain:
-    """The product of a run of steps (P, Q), folded one at a time: each
-    acts on the product by (a, d, e) -> (P a, Q (a + d), Q e)."""
-    a, d, e = 1, 0, 1
-    for p, q in steps:
-        a, d, e = p * a, q * (a + d), q * e
-    return a, d, e
-
-
-def _merged(later: _Plain, earlier: _Plain) -> _Plain:
-    node = _compose_plain(later, earlier)
-    return _strip(node) if node[2].bit_length() > _STRIP_BITS else node
-
-
 def _product(steps: Iterator[tuple[int, int]], n: int) -> _Plain:
-    """The product of the n steps: ``_plain_leaf`` folds runs of _LEAF
-    steps, ``_compose_plain`` multiplies the leaves pairwise up a balanced
-    tree, and each merged product whose e is wider than _STRIP_BITS is
-    stripped of its content."""
-    # products of 2^j consecutive leaves, earliest first, sizes strictly
-    # decreasing: equal neighbours merge as each leaf arrives, so the
-    # tree stays balanced and only O(log n) products are alive at a time
-    stack: list[tuple[int, _Plain]] = []
-    for _ in range(0, n, _LEAF):
-        size, node = 1, _plain_leaf(islice(steps, _LEAF))
-        while stack and stack[-1][0] == size:
-            node = _merged(node, stack.pop()[1])
-            size *= 2
-        stack.append((size, node))
-    # start from the latest node, not the identity: composing with the
-    # identity would strip a wide node that is already stripped
-    product = stack.pop()[1] if stack else (1, 0, 1)
-    for _, node in reversed(stack):
-        product = _merged(product, node)
-    return product
+    """The product of the next n steps (P, Q) of ``steps``, drawn in order.
+    Up to _LEAF steps fold one at a time, each acting by (a, d, e) ->
+    (P a, Q (a + d), Q e). More split after ceil(n/_LEAF) // 2 whole
+    leaves of _LEAF steps, and the later part composes onto the earlier; a
+    composite whose e is wider than _STRIP_BITS is stripped of its content."""
+    if n <= _LEAF:
+        a, d, e = 1, 0, 1
+        for p, q in islice(steps, n):
+            a, d, e = p * a, q * (a + d), q * e
+        return a, d, e
+    half = -(-n // _LEAF) // 2 * _LEAF
+    a1, d1, e1 = _product(steps, half)
+    a2, d2, e2 = _product(steps, n - half)
+    node = (a2 * a1, d2 * a1 + e2 * d1, e2 * e1)
+    return _strip(node) if node[2].bit_length() > _STRIP_BITS else node
 
 
 def _plain_sum(ps: Iterator[int], qs: Iterator[int], n: int, w0: Fraction = Fraction(1)) -> Fraction:
@@ -374,9 +350,6 @@ class AffineWeight:
     def __post_init__(self) -> None:
         object.__setattr__(self, "slope", to_fraction(self.slope))
         object.__setattr__(self, "intercept", to_fraction(self.intercept))
-
-    def at(self, k: int) -> Fraction:
-        return self.slope * k + self.intercept
 
 
 def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:

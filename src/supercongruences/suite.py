@@ -90,8 +90,9 @@ def _candidates(cfg: SuiteConfig) -> Iterator[tuple[str, dict]]:
             if p <= cfg.harmonic_p_max:
                 yield from ((k, dict(d=d, p=p)) for k in ("harmonic-even", "harmonic-odd"))
         for r in range(1, cfg.r_max + 1):
-            if p**r - 1 <= cfg.p_max:
-                yield from ((k, dict(p=p, r=r)) for k in ("guo-central", "liu"))
+            if p**r - 1 > cfg.p_max:
+                break
+            yield from ((k, dict(p=p, r=r)) for k in ("guo-central", "liu"))
     for alpha in DEFAULT_SUN_ALPHAS:
         yield from (("sun", dict(p=p, alpha=alpha)) for p in odd_primes_up_to(cfg.sun_p_max))
     yield from (("four-k-plus-one", dict(n=n)) for n in range(1, cfg.identity_n_max + 1))

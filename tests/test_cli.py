@@ -115,6 +115,13 @@ class TestSuiteEnumeration:
         xb = sorted(str(c.x) for c in b if c.kind == "km-deformed")
         assert xa != xb
 
+    def test_r_max_past_the_last_prime_power_adds_nothing(self):
+        # p^r - 1 <= p_max fails for good at the first r where it fails, so a
+        # huge r_max must cost no more than r_max = 2 here (p^2 - 1 <= 100)
+        small = SuiteConfig(p_max=100, d_set=(3,), r_max=2)
+        huge = SuiteConfig(p_max=100, d_set=(3,), r_max=10**6)
+        assert enumerate_cases(huge) == enumerate_cases(small)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(p_max=3)

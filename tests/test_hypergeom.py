@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import prod
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,8 +16,10 @@ from supercongruences.errors import NonIntegralDenominator, ZeroLowerPochhammer
 from supercongruences.exact import factorial, pochhammer, shifted_harmonic
 from supercongruences.hypergeom import (
     _LEAF,
+    _STRIP_BITS,
     AffineWeight,
     _linear_products,
+    _product,
     _steps_valuation,
     _weighted_mod,
     _weighted_sum,
@@ -314,7 +317,7 @@ def loop_evaluate(spec):
 
 
 def loop_affine(w, spec):
-    return sum(w.at(k) * t for k, t in enumerate(terms(spec)))
+    return sum((w.slope * k + w.intercept) * t for k, t in enumerate(terms(spec)))
 
 
 def loop_harmonic(spec, c1, c2):
@@ -510,6 +513,45 @@ class TestStrippedTree:
         assert hypergeom_mod._strip((6, -10, 14)) == (3, -5, 7)
         assert hypergeom_mod._strip((3, -5, 7)) == (3, -5, 7)
         assert hypergeom_mod._strip((-4, 6, 10)) == (-2, 3, 5)
+
+
+def fold_one_at_a_time(steps):
+    """The product of the steps (P, Q), each acting on (a, d, e) in turn."""
+    a, d, e = 1, 0, 1
+    for p, q in steps:
+        a, d, e = p * a, q * (a + d), q * e
+    return a, d, e
+
+
+STEP_ENTRIES = st.integers(-(2**24), 2**24)
+
+
+class TestProduct:
+    """_product's recursive halving against the one-at-a-time fold."""
+
+    @pytest.mark.parametrize("n", sorted({0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5, 100}))
+    def test_draws_exactly_n_steps(self, n):
+        steps = zip(range(200), range(1000, 1200))
+        _product(steps, n)
+        assert next(steps) == (n, 1000 + n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 12 * _LEAF),
+        extra=st.integers(0, 3),
+        strip_bits=st.sampled_from([1, 64, _STRIP_BITS]),
+        data=st.data(),
+    )
+    def test_against_one_at_a_time_fold(self, n, extra, strip_bits, data):
+        # stripping at other nodes can leave other content: compare the maps
+        step = st.tuples(STEP_ENTRIES, STEP_ENTRIES.filter(bool))  # Q != 0
+        steps = data.draw(st.lists(step, min_size=n + extra, max_size=n + extra))
+        stream = iter(steps)
+        with mock.patch.object(hypergeom_mod, "_STRIP_BITS", strip_bits):
+            a, d, e = _product(stream, n)
+        fa, fd, fe = fold_one_at_a_time(steps[:n])
+        assert (F(a, e), F(a + d, e)) == (F(fa, fe), F(fa + fd, fe))
+        assert list(stream) == steps[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +834,6 @@ class TestGroupedFactors:
         ctx = PrimePower(p, k)
         w = AffineWeight(data.draw(rationals), data.draw(rationals))
         plain = naive_sum(spec.upper, spec.lower, spec.z, n)
-        weighted = naive_sum(spec.upper, spec.lower, spec.z, n, w.at)
+        weighted = naive_sum(spec.upper, spec.lower, spec.z, n, lambda j: w.slope * j + w.intercept)
         assert_folds_to(lambda: evaluate_mod(spec, ctx), plain, ctx)
         assert_folds_to(lambda: affine_weighted_mod(w, spec, ctx), weighted, ctx)
