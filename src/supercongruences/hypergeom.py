@@ -5,26 +5,27 @@ an argument z, and an inclusive truncation index n; the k-th term is
 
     (a_0)_k ... (a_r)_k / ((b_1)_k ... (b_r)_k) * z^k / k!
 
-A plain sum is a product of integer step matrices (Haible & Papanikolaou,
-"Fast multiprecision evaluation of series of rational numbers", ANTS
-1998): step k advances (t_k, sum_{j<k} t_j) to k+1 by a lower-triangular
-integer matrix over Q(k), and a product of such steps is three entries
-(a, d, e). ``_product`` halves the run of steps recursively, at a
+An exact sum of w_k t_k is a product of integer step matrices (Haible &
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", ANTS 1998): step k advances (t_k, sum_{j<k} w_j t_j) to k+1 by
+a lower-triangular integer matrix over Q(k), and a product of such steps
+is three entries (a, d, e). The weight enters at the leaf: a plain sum
+has w = 1, and an affine weight is an integer S k + I over one common
+denominator. ``_product`` halves the run of steps recursively, at a
 multiple of _LEAF, folds runs of up to _LEAF steps one at a time in a
 tight loop, and composes the halves on the way up; the sum builds a
 single ``Fraction`` at the end. A product stands for its matrix over its
-denominator, so dividing all its entries by their gcd leaves it the same
-map; each composite whose denominator is wider than _STRIP_BITS is
-divided so. Most of a wide product is such common content: unstripped,
-the km-deformed sum at d = 6, p = 977, x = -7/3, y = 5/2 ends on a
-denominator of 63,079 bits, 63,054 of them common to all three entries,
-for a value of about 2,500 bits. Most affine weights become one more
-parameter pair of a plain sum (``affine_weighted_sum``). The other
-weighted sums, harmonic weights and affine ones whose c = i/s is an
-integer in (-n, 0], run ``_weighted_sum``: a recurrence on five entries,
-one step at a time, quadratic in n. No check runs it; the tests hold the
-plain routes and the folds to it. ``terms`` yields the terms one by one
-from the same integer ratios, ``step_ratios``.
+denominator, and the gcd of the earlier half's a and the later half's e
+divides every entry of their composite, so both are divided by it before
+the products once that e is wider than _STRIP_BITS. That gcd finds the
+content of telescoping parameter pairs (b + m over b), which is most of
+a wide product: without it the km-deformed sum at d = 6, p = 977,
+x = -7/3, y = 5/2 ends on a denominator of 63,079 bits, 63,054 of them
+common to all three entries, for a value of about 2,500 bits; with it,
+on 1,631 bits. Harmonic weights run ``_weighted_sum``: a recurrence on
+five entries, one step at a time, quadratic in n. No check runs it; the
+tests hold the product to it. ``terms`` yields the terms one by one from
+the same integer ratios, ``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -50,8 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from itertools import islice, repeat
+from math import gcd, lcm
+from itertools import count, islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -185,52 +186,35 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
     raise AssertionError("unreachable")
 
 
-# A product of steps (a, d, e) ends with its denominator e: the matrix
-# [[a, 0], [d, e]] acting on (t, acc) over e.
-_Plain = tuple[int, int, int]
-
-# Steps folded into one leaf before it enters the tree, and the width of e
-# past which a merged product is divided by its content.
+# Steps folded into one leaf before it enters the tree, and the width of
+# the later half's e past which the halves are divided by their cross gcd.
 _LEAF = 16
-_STRIP_BITS = 2048
+_STRIP_BITS = 1024
 
 
-def _strip(node: _Plain) -> _Plain:
-    """The node divided by g = gcd of its entries. The node stands for
-    the map M/e, and both M and e are divided by g, so the map and every
-    sum built from it stay the same."""
-    g = gcd(*node)
-    return node if g == 1 else tuple(x // g for x in node)
-
-
-def _product(steps: Iterator[tuple[int, int]], n: int) -> _Plain:
-    """The product of the next n steps (P, Q) of ``steps``, drawn in order.
-    Up to _LEAF steps fold one at a time, each acting by (a, d, e) ->
-    (P a, Q (a + d), Q e). More split after ceil(n/_LEAF) // 2 whole
-    leaves of _LEAF steps, and the later part composes onto the earlier; a
-    composite whose e is wider than _STRIP_BITS is stripped of its content."""
+def _product(steps: Iterator[tuple[int, int, int]], n: int) -> tuple[int, int, int]:
+    """The product of the next n steps (P, Q, W) of ``steps``, drawn in
+    order: (a, d, e), the matrix [[a, 0], [d, e]] acting on (t, acc) over
+    e. Up to _LEAF steps fold one at a time, each acting by
+    (a, d, e) -> (P a, Q (W a + d), Q e). More split after
+    ceil(n/_LEAF) // 2 whole leaves of _LEAF steps, and the later half
+    (a2, d2, e2) composes onto the earlier (a1, d1, e1) as
+    (a2 a1, d2 a1 + e2 d1, e2 e1). g = gcd(a1, e2) divides all three, and
+    a product stands for its matrix over its denominator, so dividing a1
+    and e2 by g first leaves the map the same; that is done when e2 is
+    wider than _STRIP_BITS."""
     if n <= _LEAF:
         a, d, e = 1, 0, 1
-        for p, q in islice(steps, n):
-            a, d, e = p * a, q * (a + d), q * e
+        for p, q, w in islice(steps, n):
+            a, d, e = p * a, q * (w * a + d), q * e
         return a, d, e
     half = -(-n // _LEAF) // 2 * _LEAF
     a1, d1, e1 = _product(steps, half)
     a2, d2, e2 = _product(steps, n - half)
-    node = (a2 * a1, d2 * a1 + e2 * d1, e2 * e1)
-    return _strip(node) if node[2].bit_length() > _STRIP_BITS else node
-
-
-def _plain_sum(ps: Iterator[int], qs: Iterator[int], n: int, w0: Fraction = Fraction(1)) -> Fraction:
-    """Exact w0 sum_{k<=n} t_k, where t_0 = 1 and t_{k+1}/t_k = P(k)/Q(k)
-    for the first n of ``ps`` and ``qs``. Step k is
-
-        t'   = t P       / Q
-        acc' = (acc + t) Q / Q
-    """
-    a, d, e = _product(zip(ps, qs), n)
-    # start from (t, acc) = (1, 0); the sum is acc_n + t_n
-    return Fraction(w0.numerator * (a + d), w0.denominator * e)
+    if e2.bit_length() > _STRIP_BITS:
+        g = gcd(a1, e2)
+        a1, e2 = a1 // g, e2 // g
+    return a2 * a1, d2 * a1 + e2 * d1, e2 * e1
 
 
 def _weighted_sum(
@@ -330,8 +314,10 @@ def _weighted_mod(
 
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
-    """Exact value of the truncated sum."""
-    return _plain_sum(*step_ratios(spec), spec.n)
+    """Exact value of the truncated sum: the product of the steps with
+    weight 1 acts on (t, acc) = (1, 0), and the sum is acc_n + t_n."""
+    a, d, e = _product(zip(*step_ratios(spec), repeat(1)), spec.n)
+    return Fraction(a + d, e)
 
 
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
@@ -355,21 +341,14 @@ class AffineWeight:
 def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
     """Exact sum of (slope*k + intercept) * t_k over the truncation range.
 
-    A weight s k + i with i != 0 is i (c + k)/c = i (c+1)_k/(c)_k for
-    c = i/s = u/v, so the sum is i times the plain sum of the series with
-    one more parameter pair, c + 1 over c: its step ratio is P(k) (u + v + v k)
-    over Q(k) (u + v k), defined when c + k != 0 for every k < n. A weight
-    with s = 0 is i times the plain sum. The others, where c is an integer
-    in (-n, 0] (c = 0 is i = 0), take the weighted recurrence, ``_weighted_sum``."""
+    Over a common denominator D the weight is W_k = S k + I in integers,
+    and each step k < n carries its W_k into the product; the sum is then
+    acc_n + W_n t_n over D."""
     s, i, n = w.slope, w.intercept, spec.n
-    ps, qs = step_ratios(spec)
-    if s:
-        u, v = (i / s).as_integer_ratio()
-        if v == 1 and -n < u <= 0:
-            return _weighted_sum(spec, i, s.numerator, s.denominator)
-        ps = map(mul, ps, range(u + v, u + v + v * n, v))
-        qs = map(mul, qs, range(u, u + v * n, v))
-    return _plain_sum(ps, qs, n, i)
+    den = lcm(s.denominator, i.denominator)
+    slope, intercept = s.numerator * den // s.denominator, i.numerator * den // i.denominator
+    a, d, e = _product(zip(*step_ratios(spec), count(intercept, slope)), n)
+    return Fraction(a * (slope * n + intercept) + d, e * den)
 
 
 def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:

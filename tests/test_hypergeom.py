@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import repeat
-from math import prod
+from math import gcd, prod
 from operator import mul
 from unittest import mock
 
@@ -405,54 +405,32 @@ class TestTreeAgainstLoops:
 
 
 class TestAffineRoutes:
-    """affine_weighted_sum's plain-product routes against the weighted
-    recurrence that every other affine weight takes, which stays their oracle."""
+    """affine_weighted_sum's one product route against the weighted
+    recurrence, which stays its oracle, on every shape of weight s k + i:
+    s = 0, i = 0, c = i/s hitting -k within the truncation, and c clear."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         spec=specs(TREE_NS),
-        route=st.sampled_from(["slope 0", "intercept 0", "c hits -k", "c clear"]),
+        shape=st.sampled_from(["slope 0", "intercept 0", "c hits -k", "c clear"]),
         data=st.data(),
     )
-    def test_against_weighted_recurrence(self, spec, route, data):
+    def test_against_weighted_recurrence(self, spec, shape, data):
         n = spec.n
         nonzero = rationals.filter(bool)
-        if route == "slope 0":
+        if shape == "slope 0":
             s, i = F(0), data.draw(rationals)
-        elif route == "intercept 0":
+        elif shape == "intercept 0":
             s, i = data.draw(nonzero), F(0)
         else:
             s = data.draw(nonzero)
-            if route == "c hits -k":
+            if shape == "c hits -k":
                 assume(n >= 2)
                 c = F(-data.draw(st.integers(1, n - 1)))  # c + k = 0 at some 0 < k < n
             else:
                 c = data.draw(clear_of(n).filter(bool))
             i = c * s
         assert affine_weighted_sum(AffineWeight(s, i), spec) == _weighted_sum(spec, i, s.numerator, s.denominator)
-
-    @pytest.mark.parametrize(
-        "slope, intercept, recurrence",
-        [
-            (0, F(5, 2), False),  # i times the plain sum
-            (F(-3, 7), 0, True),  # c = 0
-            (2, -6, True),  # c = -3 hits -k within k < 7
-            (2, -14, False),  # c = -7: the weight is 0 at k = n only
-            (4, 1, False),  # four-k-plus-one's weight, c = 1/4
-        ],
-    )
-    def test_route(self, slope, intercept, recurrence, monkeypatch):
-        calls = []
-        real = hypergeom_mod._weighted_sum
-
-        def weighted_sum(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(hypergeom_mod, "_weighted_sum", weighted_sum)
-        spec, w = central_series(7), AffineWeight(slope, intercept)
-        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
-        assert bool(calls) == recurrence
 
 
 def tree_shapes(n):
@@ -473,23 +451,22 @@ def tree_shapes(n):
 
 class TestStrippedTree:
     """The exact sums against the termwise loops, at truncations around the
-    plain tree's leaf size and past its strip width."""
+    tree's leaf size and past the cross gcd's width."""
 
     SIZES = sorted({0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 300})
 
     @pytest.fixture
     def strips(self, monkeypatch):
-        """Counts the calls of the gcd branch, and those that removed content."""
+        """Counts the cross gcds _product takes, and those that found content."""
         counts = {"calls": 0, "stripped": 0}
-        real = hypergeom_mod._strip
 
-        def counting(node):
+        def counting(x, y):
             counts["calls"] += 1
-            out = real(node)
-            counts["stripped"] += out != node
-            return out
+            g = gcd(x, y)
+            counts["stripped"] += g != 1
+            return g
 
-        monkeypatch.setattr(hypergeom_mod, "_strip", counting)
+        monkeypatch.setattr(hypergeom_mod, "gcd", counting)
         return counts
 
     @pytest.mark.parametrize("n", SIZES)
@@ -507,19 +484,14 @@ class TestStrippedTree:
         if n == 300:
             assert strips["stripped"] > 0
         elif n <= _LEAF:
-            assert strips["calls"] == 0  # one leaf, narrower than the strip width
-
-    def test_stripping_keeps_the_node_map(self):
-        assert hypergeom_mod._strip((6, -10, 14)) == (3, -5, 7)
-        assert hypergeom_mod._strip((3, -5, 7)) == (3, -5, 7)
-        assert hypergeom_mod._strip((-4, 6, 10)) == (-2, 3, 5)
+            assert strips["calls"] == 0  # one leaf: no halves to compose
 
 
 def fold_one_at_a_time(steps):
-    """The product of the steps (P, Q), each acting on (a, d, e) in turn."""
+    """The product of the steps (P, Q, W), each acting on (a, d, e) in turn."""
     a, d, e = 1, 0, 1
-    for p, q in steps:
-        a, d, e = p * a, q * (a + d), q * e
+    for p, q, w in steps:
+        a, d, e = p * a, q * (w * a + d), q * e
     return a, d, e
 
 
@@ -527,13 +499,14 @@ STEP_ENTRIES = st.integers(-(2**24), 2**24)
 
 
 class TestProduct:
-    """_product's recursive halving against the one-at-a-time fold."""
+    """_product's recursive halving, cross gcd and weighted leaf against
+    the one-at-a-time fold."""
 
     @pytest.mark.parametrize("n", sorted({0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 5, 100}))
     def test_draws_exactly_n_steps(self, n):
-        steps = zip(range(200), range(1000, 1200))
+        steps = zip(range(200), range(1000, 1200), range(2000, 2200))
         _product(steps, n)
-        assert next(steps) == (n, 1000 + n)
+        assert next(steps) == (n, 1000 + n, 2000 + n)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -543,14 +516,14 @@ class TestProduct:
         data=st.data(),
     )
     def test_against_one_at_a_time_fold(self, n, extra, strip_bits, data):
-        # stripping at other nodes can leave other content: compare the maps
-        step = st.tuples(STEP_ENTRIES, STEP_ENTRIES.filter(bool))  # Q != 0
+        # the cross gcd at other nodes can leave other content: compare the maps
+        step = st.tuples(STEP_ENTRIES, STEP_ENTRIES.filter(bool), STEP_ENTRIES)  # Q != 0
         steps = data.draw(st.lists(step, min_size=n + extra, max_size=n + extra))
         stream = iter(steps)
         with mock.patch.object(hypergeom_mod, "_STRIP_BITS", strip_bits):
             a, d, e = _product(stream, n)
         fa, fd, fe = fold_one_at_a_time(steps[:n])
-        assert (F(a, e), F(a + d, e)) == (F(fa, fe), F(fa + fd, fe))
+        assert (F(a, e), F(d, e)) == (F(fa, fe), F(fd, fe))
         assert list(stream) == steps[n:]
 
 
