@@ -17,15 +17,15 @@ tight loop, and composes the halves on the way up; the sum builds a
 single ``Fraction`` at the end. A product stands for its matrix over its
 denominator, and the gcd of the earlier half's a and the later half's e
 divides every entry of their composite, so both are divided by it before
-the products once that e is wider than _STRIP_BITS. That gcd finds the
-content of telescoping parameter pairs (b + m over b), which is most of
-a wide product: without it the km-deformed sum at d = 6, p = 977,
-x = -7/3, y = 5/2 ends on a denominator of 63,079 bits, 63,054 of them
-common to all three entries, for a value of about 2,500 bits; with it,
-on 1,631 bits. Harmonic weights run ``_weighted_sum``: a recurrence on
-five entries, one step at a time, quadratic in n. No check runs it; the
-tests hold the product to it. ``terms`` yields the terms one by one from
-the same integer ratios, ``step_ratios``.
+the products at every compose. That gcd finds the content of telescoping
+parameter pairs (b + m over b), which is most of a wide product: without
+it the km-deformed sum at d = 6, p = 977, x = -7/3, y = 5/2 ends on a
+denominator of 63,079 bits, 63,054 of them common to all three entries,
+for a value of about 2,500 bits; with it, on 956 bits. Harmonic weights
+run ``_weighted_sum``: a recurrence on five entries, one step at a time,
+quadratic in n. No check runs it; the tests hold the product to it.
+``terms`` yields the terms one by one from the same integer ratios,
+``step_ratios``.
 
 Each parameter a = u/v enters every step through the linear form
 u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
@@ -186,10 +186,8 @@ def term(spec: SeriesSpec, k: int) -> Fraction:
     raise AssertionError("unreachable")
 
 
-# Steps folded into one leaf before it enters the tree, and the width of
-# the later half's e past which the halves are divided by their cross gcd.
+# Steps folded into one leaf before it enters the tree.
 _LEAF = 16
-_STRIP_BITS = 1024
 
 
 def _product(steps: Iterator[tuple[int, int, int]], n: int) -> tuple[int, int, int]:
@@ -201,8 +199,7 @@ def _product(steps: Iterator[tuple[int, int, int]], n: int) -> tuple[int, int, i
     (a2, d2, e2) composes onto the earlier (a1, d1, e1) as
     (a2 a1, d2 a1 + e2 d1, e2 e1). g = gcd(a1, e2) divides all three, and
     a product stands for its matrix over its denominator, so dividing a1
-    and e2 by g first leaves the map the same; that is done when e2 is
-    wider than _STRIP_BITS."""
+    and e2 by g first leaves the map the same."""
     if n <= _LEAF:
         a, d, e = 1, 0, 1
         for p, q, w in islice(steps, n):
@@ -211,9 +208,8 @@ def _product(steps: Iterator[tuple[int, int, int]], n: int) -> tuple[int, int, i
     half = -(-n // _LEAF) // 2 * _LEAF
     a1, d1, e1 = _product(steps, half)
     a2, d2, e2 = _product(steps, n - half)
-    if e2.bit_length() > _STRIP_BITS:
-        g = gcd(a1, e2)
-        a1, e2 = a1 // g, e2 // g
+    g = gcd(a1, e2)
+    a1, e2 = a1 // g, e2 // g
     return a2 * a1, d2 * a1 + e2 * d1, e2 * e1
 
 

@@ -4,7 +4,8 @@ For d >= 2 and n ≡ -1 (mod d) with n > d-1, the quantity
 
     (n-1)!^d * d^(dn-d) / n^2 * dF_{d-1}(1/d-1, 1/d, (1+1/d)^{d-2}; 1^{d-1} | 1)_{n-1}
 
-is conjectured to be an integer. The series' step ratio is P(k)/Q(k) with
+is conjectured to be an integer. The series is ``combined_series``, and
+``hypergeom.step_ratios`` gives its step ratio as integers P(k)/Q(k) with
 P(k) = (dk+1-d)(dk+1)(dk+d+1)^(d-2) and Q(k) = d^d (k+1)^d, so the unreduced
 denominator of the sum truncated at n-1, Q(0)...Q(n-2) = d^(d(n-1)) (n-1)!^d,
 is exactly the prefactor's numerator. A cell is therefore N_n / n^2 with N_n
@@ -35,12 +36,13 @@ import logging
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .errors import HypothesisViolated
 from .exact import factorial, int_text, parse_int
-from .hypergeom import evaluate_exact
+from .hypergeom import evaluate_exact, step_ratios
 from .verifiers import combined_series
 
 log = logging.getLogger(__name__)
@@ -175,16 +177,16 @@ def scan_conjecture(
     return [cells[n] for n in ns]
 
 
-def _sweep(d: int, ns: Iterable[int]) -> Iterator[tuple[int, Fraction]]:
-    """Yield (n, value) for each n of the ascending admissible ns, from one
-    pass over k: after the steps k < n-1, acc / n^2 is the cell's value."""
+def _sweep(d: int, ns: Sequence[int]) -> Iterator[tuple[int, Fraction]]:
+    """Yield (n, value) for each n of the ascending admissible ns, from one pass
+    over the steps of ``combined_series``: after those k < n-1, acc / n^2 is the value."""
+    steps = zip(*step_ratios(combined_series(d, max(ns, default=1) - 1)))
     acc = t = 1
     done = 0
     for n in ns:
-        for k in range(done, n - 1):
-            dk = d * k
-            t *= (dk + 1 - d) * (dk + 1) * (dk + d + 1) ** (d - 2)
-            acc = acc * (dk + d) ** d + t
+        for p, q in islice(steps, n - 1 - done):
+            t *= p
+            acc = acc * q + t
         done = n - 1
         yield n, Fraction(acc, n * n)
 

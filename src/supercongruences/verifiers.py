@@ -242,11 +242,9 @@ class Kind:
         self.__signature__ = signature
 
     def __call__(self, *args, **kwargs) -> Report:
-        if kwargs or len(args) != len(self.params):
-            bound = self.__signature__.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        return self.run(Case(self.name, **dict(zip(self.params, args))))
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return self.run(Case(self.name, **bound.arguments))
 
     def run(self, case: Case) -> Report:
         args = self.args(case)

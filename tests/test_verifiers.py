@@ -661,7 +661,11 @@ class TestReportsAndDispatch:
         assert run_case(case).modulus == ("exact" if k is None else str(PrimePower(case.p, k)))
 
     def test_direct_call_fills_defaults(self):
-        assert verify_dflst(3, 7).case.strength == 2
+        # positional, full positional and keyword calls all bind through the
+        # signature; Report equality leaves elapsed out
+        short, full, named = verify_dflst(3, 7), verify_dflst(3, 7, 2), verify_dflst(d=3, p=7, strength=2)
+        assert short.case.strength == 2
+        assert short == full == named
 
     def test_public_signature_has_no_ctx(self):
         # ctx is the wrapper's to pass; callers give only the Case fields
