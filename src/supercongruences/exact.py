@@ -83,12 +83,14 @@ def int_text(value: int) -> str:
 
 
 def parse_int(text: str) -> int:
-    """Inverse of int_text: only fields int() refuses take the slower Decimal."""
+    """Inverse of int_text: an optional "-", then ASCII digits, and nothing
+    else; a field past the int/str digit limit takes the slower Decimal."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text[:200]!r}")
     try:
         return int(text)
     except ValueError:
-        if not text.removeprefix("-").isdecimal():
-            raise
         return int(Decimal(text))
 
 

@@ -22,8 +22,8 @@ parameter pairs (b + m over b), which is most of a wide product: without
 it the km-deformed sum at d = 6, p = 977, x = -7/3, y = 5/2 ends on a
 denominator of 63,079 bits, 63,054 of them common to all three entries,
 for a value of about 2,500 bits; with it, on 956 bits. Harmonic weights
-run ``_weighted_sum``: a recurrence on five entries, one step at a time,
-quadratic in n. No check runs it; the tests hold the product to it.
+run ``_weighted_sum``: a recurrence on four entries, one step at a time,
+quadratic in n. No check runs it; the tests hold the harmonic fold to it.
 ``terms`` yields the terms one by one from the same integer ratios,
 ``step_ratios``.
 
@@ -32,19 +32,19 @@ u + v k. Equal forms (dflst has 1 - 1/d d times, and 1 d times with the
 k + 1 of k!) are grouped once per spec into (form, multiplicity), and
 each distinct form is one lazy ``map`` raised to its multiplicity.
 
-A sum mod p^k folds the same steps instead, in ``_weighted_mod``, over
-one common denominator e (the starting weight's denominator times every
-Q(k) D(k), k < n) that is divided out once at the end. V = v_p(e) comes
-in closed form from the linear forms of the parameters, and the fold runs
-mod p^(k+V): the sum h/e is p-integral exactly when p^V divides h, and
-its residue is then h/p^V times the inverse of the unit e/p^V. That is
-O(n) steps on numbers of about (k+V) log2 p bits. Every sum folds by
-Horner from the last step, sum_(j>=k) t_j/t_k = 1 + P(k)/Q(k)
-sum_(j>k) t_j/t_(k+1): two products per step for a plain sum; a weighted
-sum also carries the weight differences, in (u, g, e). Where V is small
-next to n this beats the exact sum by far; at V near n/2 (the central
-sum through p^6 - 1 at p = 5) the two cost about the same. The exact sums
-serve the exact kinds, and are the oracles the tests hold the fold to.
+A sum mod p^k folds the same steps instead, by Horner from the last,
+over one common denominator e divided out once at the end. V = v_p(e)
+comes in closed form from the linear forms, and the fold runs mod
+p^(k+V): the sum h/e is p-integral exactly when p^V divides h, and its
+residue is then h/p^V times the inverse of the unit e/p^V, after O(n)
+steps on numbers of about (k+V) log2 p bits. ``_affine_mod`` folds the
+steps (P, Q, W) of ``_product``, three products each, over e = D times
+every Q(k), k < n; ``_weighted_mod`` folds a harmonic weight, which moves
+by N/D(k) at each step, by its differences in (u, g, e) over every
+Q(k) D(k). Where V is small next to n this beats the exact sum by far;
+at V near n/2 (the central sum through p^6 - 1 at p = 5) the two cost
+about the same. The exact sums serve the exact kinds, and are the
+oracles the tests hold the fold to.
 """
 
 from __future__ import annotations
@@ -213,15 +213,9 @@ def _product(steps: Iterator[tuple[int, int, int]], n: int) -> tuple[int, int, i
     return a2 * a1, d2 * a1 + e2 * d1, e2 * e1
 
 
-def _weighted_sum(
-    spec: SeriesSpec,
-    w0: Fraction,
-    step_num: int = 0,
-    step_den: int = 1,
-    step_forms: Sequence[tuple[int, int]] = (),
-) -> Fraction:
-    """Exact sum_{k<=n} w_k t_k, where w_{k+1} = w_k + N / D(k) with
-    N = step_num and D(k) = step_den * prod(u + v*k for (u, v) in step_forms).
+def _weighted_sum(spec: SeriesSpec, step_num: int, step_forms: Sequence[tuple[int, int]]) -> Fraction:
+    """Exact sum_{k<=n} w_k t_k, where w_0 = 0 and w_{k+1} = w_k + N / D(k)
+    with N = step_num and D(k) = prod(u + v*k for (u, v) in step_forms).
 
     With t_{k+1}/t_k = P(k)/Q(k) over integers, step k is
 
@@ -229,35 +223,29 @@ def _weighted_sum(
         v'   = (v P D + t P N) / (Q D)      (v = w t)
         acc' = (acc + v) Q D   / (Q D)
 
-    A product of steps (a, b, c, d, e) is the matrix [[a, 0, 0], [b, a, 0],
-    [c, d, e]] acting on (t, v, acc) over e, and each step acts on it by
-    (a, b, c, d, e) -> (PD a, PN a + PD b, QD (b + c), QD (a + d), QD e).
-    Only the steps k < n are built: the ratio and the weight step are
-    guaranteed finite there (SeriesSpec checks b + j for j < n), not at n.
+    From (t, v, acc) = (1, 0, 0) the steps give (a, b, c) over e, each by
+    (a, b, c, e) -> (PD a, PN a + PD b, QD (b + c), QD e), and the sum is
+    acc_n + v_n. Only the steps k < n are built: the ratio and the weight
+    step are finite there (SeriesSpec checks b + j for j < n), not at n.
     """
     ps, qs = step_ratios(spec)
-    ds = _linear_products(step_den, _grouped(step_forms), spec.n)
-    a, b, c, d, e = 1, 0, 0, 0, 1
+    ds = _linear_products(1, _grouped(step_forms), spec.n)
+    a, b, c, e = 1, 0, 0, 1
     for p, q, dk in zip(ps, qs, ds):
         pd, qd = p * dk, q * dk
-        a, b, c, d, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * (a + d), qd * e
-    # start from (t, v, acc) = (1, w0, 0); the sum is acc_n + v_n
-    wn, wd = w0.numerator, w0.denominator
-    return Fraction((b + c) * wd + (a + d) * wn, e * wd)
+        a, b, c, e = pd * a, p * step_num * a + pd * b, qd * (b + c), qd * e
+    return Fraction(b + c, e)
 
 
-def _steps_valuation(
-    spec: SeriesSpec, p: int, w0: Fraction, step_den: int = 1, step_forms: Sequence[tuple[int, int]] = ()
-) -> int:
-    """v_p of w0's denominator times every step denominator Q(k) D(k) of
-    ``_weighted_sum`` for k < n, from the forms rather than the steps. A
-    constant factor c of each step adds n v_p(c). A linear form u + v k
-    (gcd(u, v) = 1, never 0 for k < n) has no multiple of p when p | v;
-    otherwise the multiples of p^j are the k < n in the class root_j =
-    -u/v mod p^j, and root_j grows with j until it passes n."""
+def _steps_valuation(spec: SeriesSpec, p: int, step_forms: Sequence[tuple[int, int]] = ()) -> int:
+    """v_p of every step denominator Q(k) D(k) of ``_weighted_sum`` for
+    k < n (Q(k) alone with no step forms), from the forms rather than the
+    steps. A constant factor c of each step adds n v_p(c). A linear form
+    u + v k (gcd(u, v) = 1, never 0 for k < n) has no multiple of p when
+    p | v; otherwise the multiples of p^j are the k < n in the class
+    root_j = -u/v mod p^j, and root_j grows with j until it passes n."""
     n = spec.n
-    const = step_den * spec.consts[1]
-    total = valuation(w0.denominator, p) + n * valuation(const, p)
+    total = n * valuation(spec.consts[1], p)
     for (u, v), mult in (*spec.forms[1], *_grouped(step_forms)):
         q = p
         while v % p and (root := -u * pow(v, -1, q) % q) < n:
@@ -277,36 +265,42 @@ def _divide_out(h: int, e: int, big_v: int, ctx: PrimePower) -> Residue:
     return Residue(h // scale * pow(e // scale, -1, ctx.modulus), ctx)
 
 
-def _weighted_mod(
-    spec: SeriesSpec,
-    ctx: PrimePower,
-    w0: Fraction = Fraction(1),
-    step_num: int = 0,
-    step_den: int = 1,
-    step_forms: Sequence[tuple[int, int]] = (),
-) -> Residue:
+def _affine_mod(spec: SeriesSpec, ctx: PrimePower, slope: int, intercept: int, den: int) -> Residue:
+    """sum_(k<=n) W_k t_k / D mod p^k, W_k = S k + I: the steps (P, Q, W) of
+    ``_product`` folded by Horner from the last mod p^(k+V), where V is
+    v_p(D) plus v_p of every Q(k), k < n. After step k, u/e is
+    sum_(j>=k) W_j t_j/t_k: from u = W_n and e = 1, e <- Q(k) e and
+    u <- W_k e + P(k) u, and the sum is u/(D e); a plain sum has S = 0 and
+    I = D = 1. NonIntegralDenominator unless p-integral."""
+    p = ctx.p
+    big_v = _steps_valuation(spec, p) + valuation(den, p)
+    m = ctx.modulus * p**big_v
+    ps, qs = step_ratios(spec, -1)
+    last = slope * spec.n + intercept
+    u, e = last % m, 1
+    for num, q, w in zip(ps, qs, count(last - slope, -slope)):
+        e = e * q % m
+        u = (w * e + num * u) % m
+    return _divide_out(u, den * e % m, big_v, ctx)
+
+
+def _weighted_mod(spec: SeriesSpec, ctx: PrimePower, step_num: int, step_forms: Sequence[tuple[int, int]]) -> Residue:
     """``_weighted_sum`` of the same arguments mod p^k, folded by Horner
-    from the last step mod p^(k+V): after step k, u/e = sum_(j>=k) t_j/t_k
-    and g/e = sum_(j>k) (w_j - w_k) t_j/t_k, and the sum is (w0 u + g)/e.
-    With no weight step (N = 0, D = 1) g stays 0: two products a step.
-    Raises NonIntegralDenominator when the sum is not p-integral."""
-    big_v = _steps_valuation(spec, ctx.p, w0, step_den, step_forms)
+    from the last step mod p^(k+V), V from ``_steps_valuation``: after
+    step k, u/e = sum_(j>=k) t_j/t_k and g/e = sum_(j>k) (w_j - w_k)
+    t_j/t_k, and since w_0 = 0 the sum is g/e. Raises
+    NonIntegralDenominator when the sum is not p-integral."""
+    big_v = _steps_valuation(spec, ctx.p, step_forms)
     m = ctx.modulus * ctx.p**big_v
     ps, qs = step_ratios(spec, -1)
+    ds = _linear_products(1, _grouped(step_forms), spec.n, -1)
     u, g, e = 1, 0, 1
-    if step_num or step_den != 1 or step_forms:
-        ds = _linear_products(step_den, _grouped(step_forms), spec.n, -1)
-        for num, den, dk in zip(ps, qs, ds):
-            pd = num * dk
-            g = (pd * g + num * step_num * u) % m
-            e = e * den * dk % m
-            u = (e + pd * u) % m
-    else:
-        for num, den in zip(ps, qs):
-            e = e * den % m
-            u = (e + num * u) % m
-    wn, wd = w0.numerator, w0.denominator
-    return _divide_out((wn * u + wd * g) % m, wd * e % m, big_v, ctx)
+    for num, den, dk in zip(ps, qs, ds):
+        pd = num * dk
+        g = (pd * g + num * step_num * u) % m
+        e = e * den * dk % m
+        u = (e + pd * u) % m
+    return _divide_out(g, e, big_v, ctx)
 
 
 def evaluate_exact(spec: SeriesSpec) -> Fraction:
@@ -319,7 +313,7 @@ def evaluate_exact(spec: SeriesSpec) -> Fraction:
 def evaluate_mod(spec: SeriesSpec, ctx: PrimePower) -> Residue:
     """The truncated sum mod p^k; NonIntegralDenominator when the exact
     value is not p-integral (the congruence probed is then ill-posed)."""
-    return _weighted_mod(spec, ctx)
+    return _affine_mod(spec, ctx, 0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -334,37 +328,39 @@ class AffineWeight:
         object.__setattr__(self, "intercept", to_fraction(self.intercept))
 
 
-def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
-    """Exact sum of (slope*k + intercept) * t_k over the truncation range.
-
-    Over a common denominator D the weight is W_k = S k + I in integers,
-    and each step k < n carries its W_k into the product; the sum is then
-    acc_n + W_n t_n over D."""
-    s, i, n = w.slope, w.intercept, spec.n
+def _integer_weight(w: AffineWeight) -> tuple[int, int, int]:
+    """(S, I, D): the weight s k + i as the integer S k + I over the least
+    common denominator D of s and i."""
+    s, i = w.slope, w.intercept
     den = lcm(s.denominator, i.denominator)
-    slope, intercept = s.numerator * den // s.denominator, i.numerator * den // i.denominator
-    a, d, e = _product(zip(*step_ratios(spec), count(intercept, slope)), n)
-    return Fraction(a * (slope * n + intercept) + d, e * den)
+    return s.numerator * den // s.denominator, i.numerator * den // i.denominator, den
+
+
+def affine_weighted_sum(w: AffineWeight, spec: SeriesSpec) -> Fraction:
+    """Exact sum of (slope*k + intercept) * t_k over the truncation range:
+    each step k < n carries W_k = S k + I of ``_integer_weight`` into the
+    product, and the sum is acc_n + W_n t_n over D."""
+    slope, intercept, den = _integer_weight(w)
+    a, d, e = _product(zip(*step_ratios(spec), count(intercept, slope)), spec.n)
+    return Fraction(a * (slope * spec.n + intercept) + d, e * den)
 
 
 def affine_weighted_mod(w: AffineWeight, spec: SeriesSpec, ctx: PrimePower) -> Residue:
-    """``affine_weighted_sum`` mod p^k, folded by ``_weighted_mod``;
-    NonIntegralDenominator when the exact value is not p-integral."""
-    return _weighted_mod(spec, ctx, w.intercept, w.slope.numerator, w.slope.denominator)
+    """``affine_weighted_sum`` mod p^k, folded by ``_affine_mod`` on the same
+    integer weight; NonIntegralDenominator when the value is not p-integral."""
+    return _affine_mod(spec, ctx, *_integer_weight(w))
 
 
 def _harmonic_steps(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> tuple:
-    """The (w0, step_num, step_den, step_forms) of the harmonic difference
+    """The (step_num, step_forms) of the harmonic difference
     sum_{j<k} 1/(c1+j) - sum_{j<k} 1/(c2+j): it steps by 1/(c1+k) -
     1/(c2+k) = (v1 u2 - v2 u1) / ((u1 + v1 k)(u2 + v2 k)) for c = u/v; a
     zero summand denominator within range is rejected up front."""
-    c1 = to_fraction(c1)
-    c2 = to_fraction(c2)
+    c1, c2 = to_fraction(c1), to_fraction(c2)
     check_harmonic_shift(c1, spec.n)
     check_harmonic_shift(c2, spec.n)
-    u1, v1 = c1.numerator, c1.denominator
-    u2, v2 = c2.numerator, c2.denominator
-    return Fraction(0), v1 * u2 - v2 * u1, 1, ((u1, v1), (u2, v2))
+    (u1, v1), (u2, v2) = c1.as_integer_ratio(), c2.as_integer_ratio()
+    return v1 * u2 - v2 * u1, ((u1, v1), (u2, v2))
 
 
 def harmonic_weighted_sum(spec: SeriesSpec, c1: RationalLike, c2: RationalLike) -> Fraction:

@@ -104,7 +104,13 @@ class TestTextCodec:
         finally:
             sys.set_int_max_str_digits(old)
 
-    @pytest.mark.parametrize("text", ["", "12a", "--3", "1/2", "1" * 5000 + "x"])
+    # one syntax at every length, what int_text writes: an optional "-" and
+    # ASCII digits; each other form short and past the 4,300-digit limit
+    @pytest.mark.parametrize(
+        "text",
+        ["", "12a", "--3", "1/2", "1" * 5000 + "x", "-", "+12", "1_2", " 12", "12 ", "\u0661\u0662"]
+        + ["+" + "1" * 5000, "1_" + "1" * 5000, " " + "1" * 5000, "1" * 5000 + " ", "\u0661" * 5000],
+    )
     def test_parse_int_rejects_non_integers(self, text):
         with pytest.raises(ValueError):
             parse_int(text)

@@ -404,9 +404,9 @@ class TestTreeAgainstLoops:
 
 
 class TestAffineRoutes:
-    """affine_weighted_sum's one product route against the weighted
-    recurrence, which stays its oracle, on every shape of weight s k + i:
-    s = 0, i = 0, c = i/s hitting -k within the truncation, and c clear."""
+    """affine_weighted_sum's one product route against the termwise loop on
+    every shape of weight s k + i: s = 0, i = 0, c = i/s hitting -k within
+    the truncation, and c clear."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -414,7 +414,7 @@ class TestAffineRoutes:
         shape=st.sampled_from(["slope 0", "intercept 0", "c hits -k", "c clear"]),
         data=st.data(),
     )
-    def test_against_weighted_recurrence(self, spec, shape, data):
+    def test_against_termwise_loop(self, spec, shape, data):
         n = spec.n
         nonzero = rationals.filter(bool)
         if shape == "slope 0":
@@ -429,7 +429,8 @@ class TestAffineRoutes:
             else:
                 c = data.draw(clear_of(n).filter(bool))
             i = c * s
-        assert affine_weighted_sum(AffineWeight(s, i), spec) == _weighted_sum(spec, i, s.numerator, s.denominator)
+        w = AffineWeight(s, i)
+        assert affine_weighted_sum(w, spec) == loop_affine(w, spec)
 
 
 def tree_shapes(n):
@@ -568,15 +569,18 @@ def mod_cases(draw):
     k >= n. "any" draws denominators that are p now and then and n up to
     60, so that many sums are not p-integral. "sun" is 2F1(a, 1-a; 1 | 1)
     through k = p^r - 1 for a unit a, with unit weights: p-integral sums
-    whose steps carry p (V > 0), the central sum among them."""
+    whose steps carry p (V > 0), the central sum among them. In every
+    shape w's slope and intercept are each divided by p one time in four,
+    so that v_p of the weight's denominator D enters V."""
     shape = draw(st.sampled_from(("units", "any", "sun")))
     p = draw(st.sampled_from(SMALL_PRIMES[:5] if shape == "sun" else SMALL_PRIMES))
     ctx = PrimePower(p, draw(st.integers(1, 4)))
+    over = st.sampled_from([1, 1, 1, p])
     if shape == "sun":
         n = p ** draw(st.integers(1, 3 if p <= 5 else 2)) - 1
         a = draw(unit_fractions(p).filter(lambda a: (1 - a).numerator % p))
         weights = unit_fractions(p)
-        return series([a, 1 - a], [1], 1, n), ctx, AffineWeight(draw(weights), draw(weights))
+        return series([a, 1 - a], [1], 1, n), ctx, AffineWeight(draw(weights) / draw(over), draw(weights) / draw(over))
     if shape == "units":
         n = draw(st.integers(0, p - 1))
         dens = st.sampled_from([v for v in range(1, 7) if v % p])
@@ -594,7 +598,7 @@ def mod_cases(draw):
     upper = draw(st.lists(values, min_size=r + 1, max_size=r + 1))
     lower = draw(st.lists(lower_values, min_size=r, max_size=r))
     spec = series(upper, lower, draw(values), n)
-    return spec, ctx, AffineWeight(draw(values), draw(values))
+    return spec, ctx, AffineWeight(draw(values) / draw(over), draw(values) / draw(over))
 
 
 class TestFoldAgainstExact:
@@ -626,26 +630,26 @@ class TestFoldAgainstExact:
         # 1/3 + k reaches 7/3 at k = 2 and 28/3 at k = 9: the step forms carry
         # p into V though the weight step N is 0, and the sum is still 0
         spec = central_series(12)
-        assert _steps_valuation(spec, 7, F(0), 1, [(1, 3), (1, 3)]) > _steps_valuation(spec, 7, F(0))
+        assert _steps_valuation(spec, 7, [(1, 3), (1, 3)]) > _steps_valuation(spec, 7)
         for k in (1, 3):
             assert harmonic_weighted_mod(spec, F(1, 3), F(1, 3), PrimePower(7, k)) == 0
 
     def test_constant_weight_with_step_forms(self):
-        # N = 0 and D(k) = 1 + 2k, which is 5 at k = 2 and 25 at k = 12: V
-        # counts D, so the weighted loop must run; 2/7 is a unit at p = 5
-        steps = (F(2, 7), 0, 1, ((1, 2),))
+        # D(k) = 1 + 2k, which is 5 at k = 2 and 25 at k = 12: V counts D
+        # whether the weight stays 0 (N = 0) or moves by N/D(k)
         for n in (4, 24):
             spec = central_series(n)
-            assert _steps_valuation(spec, 5, F(2, 7), 1, [(1, 2)]) > _steps_valuation(spec, 5, F(2, 7))
+            assert _steps_valuation(spec, 5, [(1, 2)]) > _steps_valuation(spec, 5)
             for k in (1, 3):
                 ctx = PrimePower(5, k)
-                assert _weighted_mod(spec, ctx, *steps) == reduce_mod(_weighted_sum(spec, *steps), ctx)
+                assert _weighted_mod(spec, ctx, 0, [(1, 2)]) == 0
+                assert_folds_to(lambda: _weighted_mod(spec, ctx, 3, [(1, 2)]), _weighted_sum(spec, 3, [(1, 2)]), ctx)
 
     def test_p_integral_with_steps_carrying_p(self):
         # the central sum through k = p^2 - 1, and guo-central's weight on it
         for p in (3, 5, 7, 13):
             spec = central_series(p * p - 1)
-            assert _steps_valuation(spec, p, F(1)) > 0
+            assert _steps_valuation(spec, p) > 0
             for k in (1, 2, 5):
                 ctx = PrimePower(p, k)
                 assert evaluate_mod(spec, ctx) == reduce_mod(evaluate_exact(spec), ctx)
@@ -660,11 +664,15 @@ class TestFoldAgainstExact:
         assert valuation(harmonic_weighted_sum(spec, F(1, 2), 1), 3) == -2
 
     def test_truncation_zero(self):
-        # no steps: p in z and the upper denominators does not matter, w0 does
+        # no steps: p in z, in the upper denominators or in the harmonic step
+        # forms does not matter; in the affine weight's denominator D it does
         spec = series([F(2, 5), 3], [F(4, 5)], F(1, 5), 0)
         ctx = PrimePower(5, 2)
-        assert _weighted_mod(spec, ctx, F(1)) == evaluate_mod(spec, ctx) == 1
+        assert evaluate_mod(spec, ctx) == 1
+        assert _weighted_mod(spec, ctx, 1, [(5, 2)]) == 0  # 5 + 2k is 5 at k = 0
         assert affine_weighted_mod(AffineWeight(3, F(2, 7)), spec, ctx) == reduce_mod(F(2, 7), ctx)
+        # D = 35: V = 1, and W_0 = 10 over 35 is the unit 2/7
+        assert affine_weighted_mod(AffineWeight(F(1, 5), F(2, 7)), spec, ctx) == reduce_mod(F(2, 7), ctx)
         with pytest.raises(NonIntegralDenominator):
             affine_weighted_mod(AffineWeight(3, F(2, 5)), spec, ctx)
 
@@ -673,19 +681,21 @@ class TestFoldAgainstExact:
         spec = series([-3, F(1, 2)], [F(1, 3)], 2, 10)
         ctx = PrimePower(31, 3)
         w = AffineWeight(F(1, 2), -1)
-        assert _weighted_mod(spec, ctx, F(1)) == reduce_mod(evaluate_exact(spec), ctx)
-        assert _weighted_mod(spec, ctx, w.intercept, 1, 2) == reduce_mod(affine_weighted_sum(w, spec), ctx)
-        # one step further and 1/3 + k reaches 31/3: the same sum, since the
+        assert evaluate_mod(spec, ctx) == reduce_mod(evaluate_exact(spec), ctx)
+        assert affine_weighted_mod(w, spec, ctx) == reduce_mod(affine_weighted_sum(w, spec), ctx)
+        assert harmonic_weighted_mod(spec, F(3, 2), 2, ctx) == reduce_mod(harmonic_weighted_sum(spec, F(3, 2), 2), ctx)
+        # one step further and 1/3 + k reaches 31/3: the same sums, since the
         # added term is 0
         longer = series([-3, F(1, 2)], [F(1, 3)], 2, 11)
         assert evaluate_mod(longer, ctx) == reduce_mod(evaluate_exact(spec), ctx)
+        assert affine_weighted_mod(w, longer, ctx) == reduce_mod(affine_weighted_sum(w, spec), ctx)
 
 
-def brute_force_valuation(spec, p, w0, step_den, step_forms):
-    """v_p of w0's denominator times every step denominator Q(k) D(k),
-    k < n, each built from its definition."""
-    const = spec.z.denominator * prod(a.denominator for a in spec.upper) * step_den
-    e = w0.denominator
+def brute_force_valuation(spec, p, step_forms):
+    """v_p of every step denominator Q(k) D(k), k < n, each built from its
+    definition."""
+    const = spec.z.denominator * prod(a.denominator for a in spec.upper)
+    e = 1
     for k in range(spec.n):
         e *= const * (k + 1) * prod(b.numerator + b.denominator * k for b in spec.lower)
         e *= prod(u + v * k for u, v in step_forms)
@@ -694,13 +704,13 @@ def brute_force_valuation(spec, p, w0, step_den, step_forms):
 
 @st.composite
 def valuation_cases(draw):
-    """(spec, p, w0, step_den, step_forms). Each draw picks up to two of z,
-    the upper and lower parameters, w0, step_den and the step forms whose
-    denominators may be multiples of p. The forms are (numerator,
+    """(spec, p, step_forms). Each draw picks up to two of z, the upper and
+    lower parameters and the step forms whose denominators may be
+    multiples of p. The forms are (numerator,
     denominator) of a Fraction, so coprime, and never 0 below n."""
     p = draw(st.sampled_from(SMALL_PRIMES))
     n = draw(st.one_of(st.integers(0, p), st.integers(0, 200)))
-    names = ("z", "upper", "lower", "w0", "step_den", "forms")
+    names = ("z", "upper", "lower", "forms")
     with_p = draw(st.sets(st.sampled_from(names), max_size=2))
 
     def dens(name):
@@ -719,7 +729,7 @@ def valuation_cases(draw):
     lower = draw(st.lists(clear("lower"), min_size=r, max_size=r))
     spec = series(upper, lower, draw(values("z")), n)
     forms = [(c.numerator, c.denominator) for c in draw(st.lists(clear("forms"), max_size=2))]
-    return spec, p, draw(values("w0")), draw(dens("step_den")), forms
+    return spec, p, forms
 
 
 class TestFoldRule:
@@ -729,31 +739,29 @@ class TestFoldRule:
     @settings(max_examples=300, deadline=None)
     @given(case=valuation_cases())
     def test_matches_brute_force(self, case):
-        spec, p, w0, step_den, forms = case
-        assert _steps_valuation(spec, p, w0, step_den, forms) == brute_force_valuation(spec, p, w0, step_den, forms)
+        spec, p, forms = case
+        assert _steps_valuation(spec, p, forms) == brute_force_valuation(spec, p, forms)
 
     def test_each_denominator_carrying_p(self):
         # at p = 7 and n = 3: 1/2 + k first reaches 7/2 at k = 3
         spec = series([F(1, 2), 1], [F(1, 2)], F(1, 3), 3)
-        assert _steps_valuation(spec, 7, F(1), 5, [(1, 2)]) == 0
-        assert _steps_valuation(series([F(1, 7), 1], [F(1, 2)], F(1, 3), 3), 7, F(1)) == 3
-        assert _steps_valuation(series([F(1, 2), 1], [F(1, 2)], F(1, 49), 3), 7, F(1)) == 6
-        assert _steps_valuation(spec, 7, F(1, 7)) == 1
-        assert _steps_valuation(spec, 7, F(1), 14) == 3
-        assert _steps_valuation(spec, 7, F(1), 1, [(1, 3)]) == 1  # 1 + 3*2 = 7
-        # with no steps only w0 counts
-        assert _steps_valuation(series([F(1, 7), 1], [F(3, 2)], F(1, 7), 0), 7, F(1, 7), 7) == 1
+        assert _steps_valuation(spec, 7, [(1, 2)]) == 0
+        assert _steps_valuation(series([F(1, 7), 1], [F(1, 2)], F(1, 3), 3), 7) == 3
+        assert _steps_valuation(series([F(1, 2), 1], [F(1, 2)], F(1, 49), 3), 7) == 6
+        assert _steps_valuation(spec, 7, [(1, 3)]) == 1  # 1 + 3*2 = 7
+        # with no steps nothing counts
+        assert _steps_valuation(series([F(1, 7), 1], [F(3, 2)], F(1, 7), 0), 7, [(7, 2)]) == 0
 
     def test_higher_powers_of_p(self):
         # (k+1)^2 for k < 49 gives 49!^2, and v_7(49!) = 7 + 1
-        assert _steps_valuation(central_series(49), 7, F(1)) == 16
+        assert _steps_valuation(central_series(49), 7) == 16
         # k + 1 for k < 26 gives 26! (v_7 = 3); -1 + 2k meets 7, 21, 35 and 7^2
-        assert _steps_valuation(series([1], [], 1, 26), 7, F(1), 1, [(-1, 2)]) == 3 + 5
+        assert _steps_valuation(series([1], [], 1, 26), 7, [(-1, 2)]) == 3 + 5
 
     def test_form_with_p_dividing_v(self):
         spec = series([F(1, 2), 1], [F(3, 7)], 1, 3)  # 3 + 7k is never 0 mod 7
-        assert _steps_valuation(spec, 7, F(1)) == 0
-        assert _steps_valuation(spec, 7, F(1), 1, [(15, 7)]) == 0
+        assert _steps_valuation(spec, 7) == 0
+        assert _steps_valuation(spec, 7, [(15, 7)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,8 @@ class TestStateValidation:
             ("2 3 5 0 0", "positive"),
             ("2 3 -5 -1 1", "positive"),
             ("2 3 5 1 x", "invalid literal"),
+            ("2 3 +5 1 1", "invalid literal"),  # int() takes both, int_text writes neither
+            ("2 3 0_5 1 1", "invalid literal"),
             ("2 3 5 1 1 1", "expected 5"),
         ],
     )

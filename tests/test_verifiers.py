@@ -489,6 +489,32 @@ class TestNoWeightedRecurrence:
         assert all(run_case(case).verdict for case in default_cases)
 
 
+class DifferenceFoldTaken(Exception):
+    pass
+
+
+class TestHarmonicFoldRouting:
+    """Only the harmonic kinds reach the difference fold: it is made to
+    raise, every harmonic-even and harmonic-odd case of the default suite
+    reaches it, and every other case passes without it."""
+
+    def test_default_suite(self, monkeypatch, default_cases):
+        def refuse(*args, **kwargs):
+            raise DifferenceFoldTaken
+
+        monkeypatch.setattr(hypergeom_mod, "_weighted_mod", refuse)
+        reached = []
+        for case in default_cases:
+            try:
+                verdict = run_case(case).verdict
+            except DifferenceFoldTaken:
+                reached.append(case.kind)
+                continue
+            assert verdict
+            assert case.kind not in ("harmonic-even", "harmonic-odd")
+        assert set(reached) == {"harmonic-even", "harmonic-odd"}
+
+
 class TestStatedTruncation:
     """Each modular kind sums its series to the truncation its congruence
     states, k < p, or k < p^r for the prefix sums of guo-central and liu.
