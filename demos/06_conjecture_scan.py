@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Scanning the integrality conjecture with resumable state.
+"""Scanning the integrality conjecture with a resumable checkpoint.
 
 For n ≡ -1 (mod d), n > d-1, the prefactor (n-1)!^d d^(dn-d) / n^2 is
 conjectured to clear every denominator of the combined truncated series.
-The scan evaluates each admissible cell exactly and persists the result,
-so interrupted or repeated runs never recompute a finished cell.
+The scan evaluates each admissible cell exactly in one sweep, and its state
+file keeps one checkpoint per d, the sweep's state at the last cell, so a
+repeated run continues the sweep and yields only the cells past it.
 """
 
 import tempfile
@@ -23,10 +24,12 @@ cells = scan_conjecture(3, 26, state)
 for cell in cells:
     digits = len(str(cell.value.numerator))
     print(f"  n = {cell.n:2d}: integer with {digits} digits, integral = {cell.is_integer}")
+print(f"  checkpoint: {state.stat().st_size} bytes, one line for d = 3")
 
 print()
-print("Re-scanning reuses every persisted cell and extends the range:")
+print("Re-scanning to n = 35 continues from the checkpoint at n = 26:")
 cells = scan_conjecture(3, 35, state)
-print(f"  now {len(cells)} cells on disk:")
-print("  " + ", ".join(str(c.n) for c in cells))
+print("  new cells: " + ", ".join(str(c.n) for c in cells))
 print(f"  all integral: {all(c.is_integer for c in cells)}")
+print(f"  agree with conjecture_value: {all(c.value == conjecture_value(3, c.n) for c in cells)}")
+print(f"  a scan to n = 26 again yields {len(scan_conjecture(3, 26, state))} cells")

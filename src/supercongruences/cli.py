@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="conjecture integrality scan")
     p_scan.add_argument("--d", type=int, required=True, help="series degree parameter d >= 2")
     p_scan.add_argument("--n-max", type=int, required=True, help="scan ceiling for n")
-    p_scan.add_argument("--state", help="persistent state file (resume support)")
+    p_scan.add_argument("--state", help="checkpoint file: resume the sweep where the last scan stopped")
 
     p_primes = sub.add_parser("primes", help="odd primes in an arithmetic progression")
     p_primes.add_argument("--residue", type=int, required=True)

@@ -141,25 +141,27 @@ class SeriesSpec:
 series = SeriesSpec
 
 
-def step_ratios(spec: SeriesSpec, order: int = 1) -> tuple[Iterator[int], Iterator[int]]:
+def step_ratios(spec: SeriesSpec, order: int = 1, start: int = 0) -> tuple[Iterator[int], Iterator[int]]:
     """Integers P(k), Q(k) with t_{k+1}/t_k = P(k)/Q(k), for k < n only
     (SeriesSpec guarantees b + k != 0 there, not at n); k counts up, or
-    down from n - 1 for order = -1."""
+    down from n - 1 for order = -1, and the first ``start`` are skipped."""
     n = spec.n
     upper, lower = spec.forms
     const_p, const_q = spec.consts
-    ps = _linear_products(const_p, upper, n, order)
-    qs = _linear_products(const_q, lower, n, order)
+    ps = _linear_products(const_p, upper, n, order, start)
+    qs = _linear_products(const_q, lower, n, order, start)
     return ps, qs
 
 
-def _linear_products(const: int, forms: Forms, n: int, order: int = 1) -> Iterator[int]:
+def _linear_products(const: int, forms: Forms, n: int, order: int = 1, start: int = 0) -> Iterator[int]:
     """const * prod((u + v*k)**mult for ((u, v), mult) in forms) for k in
-    range(n), lazily, k counting up (order = 1) or down (order = -1); one
-    chained map per distinct form."""
-    values: Iterator[int] = repeat(const, n)
+    range(n), lazily, k counting up (order = 1) or down (order = -1) and
+    the first ``start`` skipped; one chained map per distinct form."""
+    values: Iterator[int] = repeat(const, n - start)  # empty when start >= n
     for (u, v), mult in forms:
         factors = range(u, u + v * n, v)[::order]
+        if start:  # a slice per form costs about 0.3 µs, so the folds skip it
+            factors = factors[start:]
         values = map(mul, values, factors if mult == 1 else map(pow, factors, repeat(mult)))
     return values
 

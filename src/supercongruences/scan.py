@@ -16,32 +16,29 @@ prefactor-times-series form. A non-integral cell would be a counterexample:
 it is returned with ``is_integer`` false, never swallowed, and the CLI's
 ``scan`` prints it with its full exact value and exits 3.
 
-State persists as append-only UTF-8 lines, one cell per line:
-``d n numerator denominator is_integer`` (five decimal integers,
-is_integer as 0/1), so exactness survives serialization and re-scans
-resume instead of recomputing. Fields of any length round-trip through
-``exact.int_text`` and ``exact.parse_int``.
-
-``load_cells`` keeps one module-level snapshot of the last file it read
-successfully: its bytes up to the last newline, their line count and
-their cells. A re-read whose bytes start with exactly those bytes parses
-only the lines that follow them; any other change to the file is parsed
-whole. The snapshot is published by a single assignment of a new tuple
-and never mutated, so concurrent callers each see one consistent snapshot.
+State is one checkpoint line per d, ``d n acc t crc``: the sweep state
+(acc, t) after its steps k < n-1, so acc / n^2 is the cell at n; d and n
+in decimal, acc and t in hex (linear-time text with no digit limit), and
+the CRC-32 of the rest of the line. A scan resumes from its d's
+checkpoint, sweeps only the steps k >= n-1, returns only the cells past
+it, and rewrites the file once, when the sweep stops. The checkpoint
+never moves past a non-integral cell, and a resumed sweep recomputes such
+a cell by ``conjecture_value``, so a corrupt or forged checkpoint is an
+error (exit 2), never a finding. The module keeps no state of its own.
 """
 
 from __future__ import annotations
 
 import logging
-import os
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import HypothesisViolated
-from .exact import factorial, int_text, parse_int
+from .exact import factorial, int_text
 from .hypergeom import evaluate_exact, step_ratios
 from .verifiers import combined_series
 
@@ -61,19 +58,6 @@ class ConjectureCell:
             f"{int_text(self.value.denominator)} {1 if self.is_integer else 0}"
         )
 
-    @classmethod
-    def from_line(cls, line: str) -> ConjectureCell:
-        """Parse one state line; ValueError unless it is a consistent cell."""
-        d, n, num, den, flag = map(parse_int, line.split())  # ValueError unless 5 fields
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        value = Fraction(num, den)
-        if value.denominator != den:
-            raise ValueError("value is not in lowest terms")
-        if flag != (den == 1):
-            raise ValueError(f"is_integer flag {flag} disagrees with denominator")
-        return cls(d, n, value, den == 1)
-
 
 def admissible_n(d: int, n_max: int) -> list[int]:
     """All n <= n_max with n ≡ -1 (mod d) and n > d-1, ascending."""
@@ -92,108 +76,121 @@ def conjecture_value(d: int, n: int) -> Fraction:
     return prefactor * evaluate_exact(combined_series(d, n - 1))
 
 
-# The last successful load: (the bytes it validated, in pieces of at most
-# _PIECE bytes; their line count; their cells). It is replaced by one
-# assignment and never mutated, so a reader always sees one consistent tuple.
-_PIECE = 1 << 13
-_snapshot: tuple[tuple[bytes, ...], int, dict[tuple[int, int], ConjectureCell]] = ((), 0, {})
+def _checkpoint_line(d: int, n: int, acc: int, t: int) -> str:
+    body = f"{d} {n} {acc:x} {t:x}"
+    return f"{body} {zlib.crc32(body.encode()):08x}\n"
 
 
-def load_cells(state_path: str | Path) -> dict[tuple[int, int], ConjectureCell]:
-    """Read persisted cells keyed by (d, n); a missing file is empty state.
+def _is_hex(field: bytes) -> bool:
+    return bool(field) and not field.translate(None, b"0123456789abcdef")
 
-    A cell is committed by its newline. A last line without one is what an
-    interrupted write leaves: it is dropped with a warning and cut from the
-    file, so the next cell starts a line of its own. Any other bad line,
-    including one that is not UTF-8, is a ValueError naming the file and line.
 
-    When the file starts with exactly the bytes of the last successful
-    load, only the lines after them are parsed; any other file is parsed
-    whole."""
-    global _snapshot
+def _parse(raw: bytes) -> tuple[int, int, int, int]:
+    """(d, n, acc, t) of one checkpoint line, else a ValueError saying why.
+    Bytes methods check the fields 6x faster than a regular expression."""
+    fields = raw.split(b" ")
+    if not (
+        len(fields) == 5
+        and fields[0].isdigit()  # bytes: ASCII digits only
+        and fields[1].isdigit()
+        and _is_hex(fields[2].removeprefix(b"-"))
+        and _is_hex(fields[3].removeprefix(b"-"))
+        and len(fields[4]) == 8
+        and _is_hex(fields[4])
+    ):
+        raise ValueError("expected 'd n acc t crc': decimal d and n, hex acc, t and crc")
+    if int(fields[4], 16) != zlib.crc32(raw[:-9]):
+        raise ValueError("CRC-32 does not match the line")
+    d, n = int(fields[0]), int(fields[1])
+    if d < 2 or n % d != d - 1 or n <= d - 1:
+        raise ValueError(f"n = {n} is not admissible for d = {d}")
+    return d, n, int(fields[2], 16), int(fields[3], 16)
+
+
+def load_cells(state_path: str | Path) -> dict[int, tuple[int, int, int]]:
+    """The checkpoints of a state file, d -> (n, acc, t); a missing file
+    holds none.
+
+    A last line without its newline is a torn write: it is dropped with a
+    warning, and its d starts cold. Any other line must be a checkpoint of
+    an admissible (d, n) whose CRC matches, at most one per d; otherwise
+    this raises a ValueError naming the file and line, and the file is
+    left as it is."""
     path = Path(state_path)
-    if not path.exists():
+    try:
+        lines = path.read_bytes().split(b"\n")
+    except FileNotFoundError:
         return {}
-    pieces, lineno, known = _snapshot
-    with open(path, "rb") as fh:
-        # Small pieces, compared one read at a time: holding the validated
-        # bytes as one object and reading the file whole beside it made a
-        # file-sized allocation on every call, which raised the peak
-        # resident size of 61 back-to-back 430-step scans by 0.6 MB.
-        for piece in pieces:
-            if fh.read(len(piece)) != piece:
-                fh.seek(0)
-                pieces, lineno, known = (), 0, {}
-                break
-        validated = fh.tell()
-        rest = fh.read()
-    new = rest[: rest.rfind(b"\n") + 1]
-    tail = rest[len(new) :]  # b"" unless the last write was cut short
-    cells = dict(known)
-    for raw in new.split(b"\n")[:-1]:
-        lineno += 1
+    tail = lines.pop()  # b"" unless the last write was cut short
+    states: dict[int, tuple[int, int, int]] = {}
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            line = raw.decode("utf-8")
-            cell = ConjectureCell.from_line(line) if line.strip() else None
+            d, *state = _parse(raw)
+            if d in states:
+                raise ValueError(f"a second checkpoint for d = {d}")
         except ValueError as exc:
             shown = raw.decode("utf-8", "replace")[:60]
             raise ValueError(f"{path}:{lineno}: bad state line {shown!r}: {exc}") from None
-        if cell is not None:
-            cells[(cell.d, cell.n)] = cell
+        states[d] = tuple(state)
     if tail:
         shown = tail.decode("utf-8", "replace")[:60]
-        log.warning("%s:%d: dropping torn last line %r", path, lineno + 1, shown)
-        os.truncate(path, validated + len(new))
-    if new:
-        last = (pieces[-1] if pieces else b"") + new
-        pieces = pieces[:-1] + tuple(last[i : i + _PIECE] for i in range(0, len(last), _PIECE))
-    _snapshot = (pieces, lineno, cells)
-    return dict(cells)
+        log.warning("%s:%d: dropping torn last line %r", path, len(lines) + 1, shown)
+    return states
 
 
 def scan_conjecture(
     d: int, n_max: int, state_path: str | Path | None = None
 ) -> list[ConjectureCell]:
-    """Evaluate every admissible n <= n_max, reusing persisted cells.
+    """The cells of every admissible n <= n_max past d's checkpoint (all of
+    them without one), ascending; none when n_max is at or below it.
 
-    Returns all cells for this d in ascending n order. The cells missing
-    from the state come from one sweep up to the largest of them, and each
-    is appended to the state file as the sweep yields it, so an interrupted
-    scan resumes where it stopped. A non-integral cell read from the state
-    counts as missing, so only a fresh sweep returns a finding, a cell with
-    ``is_integer`` false, for the caller to report; an integral one is
-    trusted as stored, even if wrong (delete the file to recompute).
+    When the sweep stops, by returning or by an exception, the file is
+    rewritten once with d's checkpoint at the last cell yielded before any
+    non-integral one. A non-integral cell of a resumed sweep is recomputed
+    by ``conjecture_value``; if the two disagree the checkpoint is wrong,
+    and this raises a ValueError naming the file and writes nothing.
     """
     if d < 2:
         raise HypothesisViolated(f"need d >= 2, got {d}")
-    known = load_cells(state_path) if state_path is not None else {}
-    ns = admissible_n(d, n_max)
-    cells = {n: known[(d, n)] for n in ns if (d, n) in known and known[(d, n)].is_integer}
-    for n, value in _sweep(d, [n for n in ns if n not in cells]):
-        cell = ConjectureCell(d, n, value, value.denominator == 1)
-        if state_path is not None:
-            _append(state_path, cell)
-        cells[n] = cell
-    return [cells[n] for n in ns]
+    states = load_cells(state_path) if state_path is not None else {}
+    cells: list[ConjectureCell] = []
+    found = False
+    reached = None  # the checkpoint to write: the last cell before any finding
+    try:
+        for n, acc, t in _sweep(d, *states.get(d, (1, 1, 1)), n_max):
+            value = Fraction(acc, n * n)
+            if value.denominator != 1 and d in states and value != conjecture_value(d, n):
+                reached = None
+                raise ValueError(
+                    f"{state_path}: the checkpoint for d = {d} at n = {states[d][0]} "
+                    f"gives a wrong cell at n = {n}; delete its line to rescan d = {d}"
+                )
+            cells.append(ConjectureCell(d, n, value, value.denominator == 1))
+            found = found or value.denominator != 1
+            if not found:
+                reached = (n, acc, t)
+    finally:
+        if state_path is not None and reached is not None:
+            states[d] = reached
+            try:
+                with open(state_path, "w", encoding="ascii") as fh:
+                    fh.write("".join(_checkpoint_line(e, *state) for e, state in states.items()))
+            except OSError as exc:
+                raise OSError(f"persisting checkpoint d={d} n={reached[0]}: {exc}") from exc
+    return cells
 
 
-def _sweep(d: int, ns: Sequence[int]) -> Iterator[tuple[int, Fraction]]:
-    """Yield (n, value) for each n of the ascending admissible ns, from one pass
-    over the steps of ``combined_series``: after those k < n-1, acc / n^2 is the value."""
-    steps = zip(*step_ratios(combined_series(d, max(ns, default=1) - 1)))
-    acc = t = 1
-    done = 0
-    for n in ns:
-        for p, q in islice(steps, n - 1 - done):
+def _sweep(d: int, n: int, acc: int, t: int, n_max: int) -> Iterator[tuple[int, int, int]]:
+    """From (acc, t) after the steps k < n-1 of ``combined_series``, yield
+    (m, acc, t) after the steps k < m-1 (the cell at m is acc / m^2) for each
+    admissible m in (n, n_max]: from n + d, or from 2d - 1 when cold (n = 1)."""
+    ns = range(max(2 * d - 1, n + d), n_max + 1, d)
+    if not ns:
+        return
+    steps = zip(*step_ratios(combined_series(d, ns[-1] - 1), 1, n - 1))
+    for m in ns:
+        for p, q in islice(steps, m - n):
             t *= p
             acc = acc * q + t
-        done = n - 1
-        yield n, Fraction(acc, n * n)
-
-
-def _append(state_path: str | Path, cell: ConjectureCell) -> None:
-    try:
-        with open(state_path, "a", encoding="utf-8") as fh:
-            fh.write(cell.line() + "\n")
-    except OSError as exc:
-        raise OSError(f"persisting cell d={cell.d} n={cell.n}: {exc}") from exc
+        n = m
+        yield n, acc, t

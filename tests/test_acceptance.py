@@ -257,11 +257,12 @@ def test_criterion_15_conjecture_scan(tmp_path, monkeypatch, capsys):
         ok = ok and len(cells) == len(admissible_n(d, 50)) and all(c.is_integer for c in cells)
         ok = ok and cli_main(["scan", "--d", str(d), "--n-max", "50"]) == 0
     # a non-integral cell must surface with exit code 3 and the exact value
-    monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(3, Fraction(7, 2))])
+    # (the sweep yields n, acc, t, and the cell is acc / n^2)
+    monkeypatch.setattr(scan_mod, "_sweep", lambda d, n, acc, t, n_max: [(3, 7, -1)])
     state = tmp_path / "state.txt"
     code = cli_main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)])
     err = capsys.readouterr().err
-    ok = ok and code == 3 and "7/2" in err
+    ok = ok and code == 3 and "7/9" in err
     _criterion(15, "integrality scan all-integral for d in {2..5}, n <= 50; findings exit 3", ok)
 
 

@@ -496,7 +496,7 @@ class TestFileErrors:
         "argv, message",
         [
             (["scan", "--d", "2", "--n-max", "3", "--state", "{dir}"], "Is a directory"),
-            (["scan", "--d", "2", "--n-max", "3", "--state", "{dir}/missing/s.txt"], "persisting cell d=2 n=3"),
+            (["scan", "--d", "2", "--n-max", "3", "--state", "{dir}/missing/s.txt"], "persisting checkpoint d=2 n=3"),
             (["verify", "rv", "--p", "7", "--out", "{dir}/missing/x.json"], "No such file"),
             (["suite", "--p-max", "7", "--d-set", "3", "--out", "{dir}/missing/x.json"], "No such file"),
         ],
@@ -708,112 +708,120 @@ class TestScanCommand:
         assert capsys.readouterr().out == ""
 
     def test_resume_uses_state(self, tmp_path, monkeypatch, capsys):
+        # a resume prints only the cells past the checkpoint, and sweeps
+        # nothing when there are none
         state = tmp_path / "state.txt"
         assert cli.main(["scan", "--d", "2", "--n-max", "11", "--state", str(state)]) == 0
-        monkeypatch.setattr(
-            scan_mod,
-            "_sweep",
-            lambda d, ns: [pytest.fail(f"persisted cell n={n} recomputed") for n in ns],
-        )
-        assert cli.main(["scan", "--d", "2", "--n-max", "11", "--state", str(state)]) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert cli.main(["scan", "--d", "2", "--n-max", "15", "--state", str(state)]) == 0
+        assert first + capsys.readouterr().out.splitlines() == [
+            cell.line() for cell in scan_mod.scan_conjecture(2, 15)
+        ]
+        monkeypatch.setattr(scan_mod, "step_ratios", lambda *args: pytest.fail("a step stream was built"))
+        assert cli.main(["scan", "--d", "2", "--n-max", "15", "--state", str(state)]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_finding_exit_three_and_full_value(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(3, F(7, 2))])
+        monkeypatch.setattr(scan_mod, "_sweep", lambda d, n, acc, t, n_max: [(3, 7, -1)])
         state = tmp_path / "state.txt"
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 3
         captured = capsys.readouterr()
-        assert "NON-INTEGRAL" in captured.err and "7/2" in captured.err
+        assert "NON-INTEGRAL" in captured.err and "7/9" in captured.err
+        assert captured.out.splitlines() == ["2 3 7 9 0"]
 
-    def test_finding_printed_once(self):
+    def test_finding_printed_once(self, tmp_path):
         # a subprocess, so that no pytest log handler hides Python's
         # last-resort one, which would print a library warning too
         code = (
-            "import sys; from fractions import Fraction\n"
+            "import sys\n"
             "import supercongruences.cli as cli, supercongruences.scan as scan\n"
             "real = scan._sweep\n"
-            "scan._sweep = lambda d, ns: ((n, Fraction(7, 2) if n == 3 else v) for n, v in real(d, ns))\n"
-            "sys.exit(cli.main(['scan', '--d', '2', '--n-max', '5']))\n"
+            "scan._sweep = lambda *args: ((n, 7 if n == 3 else acc, t) for n, acc, t in real(*args))\n"
+            "sys.exit(cli.main(['scan', '--d', '2', '--n-max', '5', '--state', sys.argv[1]]))\n"
         )
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, str(tmp_path / "state.txt")],
+            env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 3
-        assert proc.stderr.count("7/2") == 1
+        assert proc.stderr.count("7/9") == 1
 
     def test_non_integral_state_line_is_recomputed(self, tmp_path, capsys):
-        # a finding read back from the state is never trusted: the sweep
-        # recomputes the cell, and its appended line is the one loads keep
+        # a checkpoint with a valid CRC but acc off by one gives a
+        # non-integral cell at n = 5; its recomputation disagrees, so the
+        # scan is a usage error (exit 2), never a finding, and writes nothing
         state = tmp_path / "state.txt"
-        state.write_text("2 3 7 2 0\n", encoding="utf-8")
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 0
-        assert capsys.readouterr().out.split()[:3] == ["2", "3", "5"]
-        assert state.read_text().splitlines() == ["2 3 7 2 0", "2 3 5 1 1"]
-        assert scan_mod.load_cells(state)[(2, 3)].value == scan_mod.conjecture_value(2, 3) == 5
+        n, acc, t = scan_mod.load_cells(state)[2]
+        state.write_text(scan_mod._checkpoint_line(2, n, acc + 1, t), encoding="ascii")
+        data = state.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["scan", "--d", "2", "--n-max", "9", "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {state}: the checkpoint for d = 2 at n = 3" in captured.err
+        assert "NON-INTEGRAL" not in captured.err and captured.out == ""
+        assert state.read_bytes() == data
 
     def test_inconsistent_flag_is_usage_error(self, tmp_path, capsys):
-        # the integer 5 flagged non-integral is a corrupt line, not a finding
+        # a line of the value store the checkpoints replaced (the integer 5
+        # flagged non-integral) is a corrupt state line, not a finding
         state = tmp_path / "state.txt"
         state.write_text("2 3 5 1 0\n", encoding="utf-8")
         assert cli.main(["scan", "--d", "2", "--n-max", "3", "--state", str(state)]) == 2
         assert f"{state}:1" in capsys.readouterr().err
+        assert state.read_text(encoding="utf-8") == "2 3 5 1 0\n"
 
     def test_torn_last_line_is_dropped(self, tmp_path, capsys):
+        # the torn line is d = 2's: d = 2 restarts cold, d = 3's checkpoint stays
         state = tmp_path / "state.txt"
-        state.write_text("2 3 5 1 1\n2 5 12", encoding="utf-8")
+        assert cli.main(["scan", "--d", "3", "--n-max", "8", "--state", str(state)]) == 0
+        d3 = state.read_text()
+        state.write_text(d3 + "2 5 12", encoding="ascii")
+        capsys.readouterr()
         assert cli.main(["scan", "--d", "2", "--n-max", "7", "--state", str(state)]) == 0
-        assert [line.split()[:2] for line in state.read_text().splitlines()] == [
+        assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
             ["2", "3"], ["2", "5"], ["2", "7"]
         ]
+        assert [line.split()[:2] for line in state.read_text().splitlines()] == [["3", "8"], ["2", "7"]]
 
     def test_interrupted_sweep_keeps_cells_already_yielded(self, tmp_path, monkeypatch, capsys):
-        # each cell is appended as the sweep yields it, so a failed write
-        # loses only that cell and the ones after it
+        # an interrupt inside the sweep still writes the checkpoint at the
+        # last cell the sweep yielded, and the next scan continues there
         state = tmp_path / "state.txt"
-        for n in (5, 11):
-            scan_mod._append(state, scan_mod.ConjectureCell(2, n, scan_mod.conjecture_value(2, n), True))
-        real_open, real_sweep = open, scan_mod._sweep
-        events = []
+        real_sweep = scan_mod._sweep
 
-        def failing_open(file, mode="r", *args, **kwargs):
-            if mode == "a":
-                events.append("append")
-                if events.count("append") == 3:
-                    raise OSError(28, "No space left on device")
-            return real_open(file, mode, *args, **kwargs)
+        def interrupted(d, n, acc, t, n_max):
+            for cell in real_sweep(d, n, acc, t, n_max):
+                yield cell
+                if cell[0] == 9:
+                    raise KeyboardInterrupt
 
-        def recording_sweep(d, ns):
-            for n, value in real_sweep(d, ns):
-                events.append(n)
-                yield n, value
-
-        monkeypatch.setattr(scan_mod, "open", failing_open, raising=False)
-        monkeypatch.setattr(scan_mod, "_sweep", recording_sweep)
-        assert cli.main(["scan", "--d", "2", "--n-max", "17", "--state", str(state)]) == 2
-        assert "persisting cell d=2 n=9" in capsys.readouterr().err
-        # each append comes before the sweep yields the next cell
-        assert events == [3, "append", 7, "append", 9, "append"]
-        assert [line.split()[1] for line in state.read_text().splitlines()] == ["5", "11", "3", "7"]
+        monkeypatch.setattr(scan_mod, "_sweep", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["scan", "--d", "2", "--n-max", "17", "--state", str(state)])
+        assert scan_mod.load_cells(state)[2][0] == 9
         monkeypatch.undo()
 
-        asked = []
+        starts = []
 
-        def counting(d, ns):
-            ns = list(ns)
-            asked.extend(ns)
-            return real_sweep(d, ns)
+        def recording(d, n, acc, t, n_max):
+            starts.append(n)
+            return real_sweep(d, n, acc, t, n_max)
 
-        monkeypatch.setattr(scan_mod, "_sweep", counting)
+        monkeypatch.setattr(scan_mod, "_sweep", recording)
         assert cli.main(["scan", "--d", "2", "--n-max", "17", "--state", str(state)]) == 0
-        assert asked == [9, 13, 15, 17]
-        cells = scan_mod.load_cells(state)
-        assert sorted(n for _, n in cells) == [3, 5, 7, 9, 11, 13, 15, 17]
-        assert all(cell.value == scan_mod.conjecture_value(2, cell.n) for cell in cells.values())
+        assert starts == [9]
+        assert capsys.readouterr().out.splitlines() == [
+            cell.line() for cell in scan_mod.scan_conjecture(2, 17) if cell.n > 9
+        ]
+        assert state.read_text() == scan_mod._checkpoint_line(2, *scan_mod.load_cells(state)[2])
+        assert scan_mod.load_cells(state)[2][0] == 17
 
     def test_value_past_int_str_limit(self, monkeypatch, capsys):
         big = 10**5000 + 7  # str() refuses more than 4300 digits
-        monkeypatch.setattr(scan_mod, "_sweep", lambda d, ns: [(n, F(big)) for n in ns])
+        monkeypatch.setattr(scan_mod, "_sweep", lambda d, n, acc, t, n_max: [(3, 9 * big, -1)])
         assert cli.main(["scan", "--d", "2", "--n-max", "3"]) == 0
         assert capsys.readouterr().out.split()[2] == "1" + "0" * 4999 + "7"
 

@@ -805,6 +805,29 @@ class TestGroupedFactors:
             expanded = [(u + v * (n - 1), -v) for u, v in expanded]
         assert list(_linear_products(const, forms, n, order)) == list(chained_linear_products(const, expanded, n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_forms(), order=st.sampled_from([1, -1]), data=st.data())
+    def test_start_skips_the_head(self, case, order, data):
+        const, forms, n = case
+        start = data.draw(st.integers(0, n + 2))
+        full = list(_linear_products(const, forms, n, order))
+        assert list(_linear_products(const, forms, n, order, start)) == full[start:]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(VERIFIER_SHAPES)),
+        d=st.integers(2, 8),
+        n=st.integers(0, 60),
+        order=st.sampled_from([1, -1]),
+        data=st.data(),
+    )
+    def test_step_ratios_from_start_are_the_tail(self, shape, d, n, order, data):
+        # the scan resumes its stream here instead of skipping the head
+        spec = VERIFIER_SHAPES[shape](d, n)
+        start = data.draw(st.integers(0, n + 2))
+        tails = [list(stream)[start:] for stream in step_ratios(spec, order)]
+        assert [list(stream) for stream in step_ratios(spec, order, start)] == tails
+
     @settings(max_examples=100, deadline=None)
     @given(
         shape=st.sampled_from(sorted(VERIFIER_SHAPES)),

@@ -1,14 +1,13 @@
-"""Conjecture integrality scan: values, admissibility, persistence."""
+"""Conjecture integrality scan: values, admissibility, checkpoints."""
 
-import logging
 import os
 import re
 import tempfile
-from contextlib import contextmanager
+import zlib
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 import supercongruences.scan as scan_mod
 from supercongruences.errors import HypothesisViolated
 from supercongruences.exact import rational_text
+from supercongruences.hypergeom import step_ratios
 from supercongruences.scan import (
     ConjectureCell,
     admissible_n,
@@ -24,31 +24,31 @@ from supercongruences.scan import (
     load_cells,
     scan_conjecture,
 )
+from supercongruences.verifiers import combined_series
 
 F = Fraction
 
 
-def whole_file_load_cells(state_path):
-    """Test oracle: the whole-file reader the incremental load_cells
-    replaced. It parses and validates every line on every call."""
-    path = Path(state_path)
-    if not path.exists():
-        return {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    tail = lines.pop()  # "" unless the last write was cut short
-    cells = {}
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                cell = ConjectureCell.from_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad state line {line[:60]!r}: {exc}") from None
-            cells[(cell.d, cell.n)] = cell
-    if tail:
-        scan_mod.log.warning("%s:%d: dropping torn last line %r", path, len(lines) + 1, tail[:60])
-        os.truncate(path, path.stat().st_size - len(tail.encode("utf-8")))
-    return cells
+def crc_line(body):
+    """``body`` with its CRC-32 appended, as a state file line."""
+    return f"{body} {zlib.crc32(body.encode()):08x}\n"
+
+
+def state_line(d, n, acc=None, t=None):
+    """The checkpoint of the cell (d, n), built here rather than by the
+    library: acc is the cell's value times n^2, and t the product of the
+    step numerators P(k), k < n - 1."""
+    if acc is None:
+        acc = (conjecture_value(d, n) * n * n).numerator
+    if t is None:
+        t = prod(step_ratios(combined_series(d, n - 1))[0])
+    return crc_line(f"{d} {n} {acc:x} {t:x}")
+
+
+def flip_hex_digit(line, index):
+    """line with the hex digit at index changed, same length."""
+    digit = line[index]
+    return line[:index] + ("1" if digit == "0" else "0") + line[index + 1 :]
 
 
 class TestConjectureValue:
@@ -98,30 +98,31 @@ class TestScan:
         assert scan_conjecture(5, 4) == []
 
     def test_state_round_trip(self, tmp_path):
+        # the checkpoint is the sweep state at the last cell, and a resume
+        # from it continues the cold sweep
         state = tmp_path / "cells.txt"
         cells = scan_conjecture(3, 20, state)
-        persisted = load_cells(state)
-        assert [persisted[(c.d, c.n)] for c in cells] == cells
-        # recomputed values agree bit-for-bit with what was stored
-        for cell in cells:
-            assert conjecture_value(cell.d, cell.n) == cell.value
+        assert state.read_text(encoding="ascii") == state_line(3, 20)
+        n, acc, t = load_cells(state)[3]
+        assert n == 20 and F(acc, n * n) == cells[-1].value == conjecture_value(3, 20)
+        assert scan_conjecture(3, 32, state) == [c for c in scan_conjecture(3, 32) if c.n > 20]
+        assert state.read_text(encoding="ascii") == state_line(3, 32)
 
     def test_resume_skips_persisted_cells(self, tmp_path, monkeypatch):
         state = tmp_path / "cells.txt"
         scan_conjecture(2, 11, state)
-        asked = []
-        real = scan_mod._sweep
+        streams = []
+        real = scan_mod.step_ratios
 
-        def counting(d, ns):
-            ns = list(ns)
-            asked.extend((d, n) for n in ns)
-            return real(d, ns)
+        def recording(spec, order=1, start=0):
+            streams.append((spec.n, start))
+            return real(spec, order, start)
 
-        monkeypatch.setattr(scan_mod, "_sweep", counting)
-        scan_conjecture(2, 11, state)
-        assert asked == []  # everything came from the state file
-        scan_conjecture(2, 15, state)
-        assert asked == [(2, 13), (2, 15)]  # only the new cells
+        monkeypatch.setattr(scan_mod, "step_ratios", recording)
+        assert scan_conjecture(2, 11, state) == []
+        assert streams == []  # nothing past the checkpoint: no sweep
+        assert [c.n for c in scan_conjecture(2, 15, state)] == [13, 15]
+        assert streams == [(14, 10)]  # the steps 10 <= k < 14 alone
 
     def test_sweep_matches_oracle_d5_to_600(self):
         cells = scan_conjecture(5, 600)
@@ -129,21 +130,31 @@ class TestScan:
         assert all(c.value == conjecture_value(5, c.n) and c.is_integer for c in cells)
 
     def test_non_integral_cell_is_loud_but_not_fatal(self, tmp_path, monkeypatch):
-        # make the sweep yield a fake half-integral first cell; the scan
-        # must return it flagged and keep going (the CLI reports it)
+        # make the sweep yield a fake non-integral cell at n = 5: the scan
+        # returns it flagged and keeps going, and the checkpoint stays at the
+        # cell before it, so the next scan that reaches it reports it again
         real = scan_mod._sweep
-        monkeypatch.setattr(
-            scan_mod, "_sweep", lambda d, ns: ((n, F(7, 2) if n == 3 else v) for n, v in real(d, ns))
-        )
+
+        def faked(d, n, acc, t, n_max):
+            for m, acc, t in real(d, n, acc, t, n_max):
+                yield m, 7 if m == 5 else acc, t
+
+        monkeypatch.setattr(scan_mod, "_sweep", faked)
         state = tmp_path / "cells.txt"
-        cells = scan_conjecture(2, 7, state)
-        assert [c.n for c in cells] == [3, 5, 7]
-        assert not cells[0].is_integer and cells[0].value == F(7, 2)
+        cells = scan_conjecture(2, 9, state)
+        assert [c.n for c in cells] == [3, 5, 7, 9]
+        assert not cells[1].is_integer and cells[1].value == F(7, 25)
+        assert all(c.is_integer for c in cells if c.n != 5)
+        assert load_cells(state)[2][0] == 3
+        # a resumed sweep recomputes its finding; one that agrees is reported
+        real_value = scan_mod.conjecture_value
+        monkeypatch.setattr(scan_mod, "conjecture_value", lambda d, n: F(7, 25) if n == 5 else real_value(d, n))
+        assert scan_conjecture(2, 9, state) == cells[1:]
+        assert load_cells(state)[2][0] == 3
 
     def test_line_format(self):
-        cell = ConjectureCell(2, 3, F(5), True)
-        assert cell.line() == "2 3 5 1 1"
-        assert ConjectureCell.from_line("2 3 5 1 1") == cell
+        assert ConjectureCell(2, 3, F(5), True).line() == "2 3 5 1 1"
+        assert ConjectureCell(2, 5, F(7, 25), False).line() == "2 5 7 25 0"
 
 
 @lru_cache(maxsize=None)
@@ -152,260 +163,210 @@ def oracle(d, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 200), st.data())
-def test_scan_matches_oracle_from_any_persisted_subset(d, n_max, data):
-    # the persisted cells are a random subset, so the missing n the sweep
-    # must yield are scattered and need not start at the first admissible n
-    ns = admissible_n(d, n_max)
-    kept = data.draw(st.lists(st.booleans(), min_size=len(ns), max_size=len(ns)))
-    present = [n for n, keep in zip(ns, kept) if keep]
-    missing = [n for n, keep in zip(ns, kept) if not keep]
+@given(st.integers(2, 6), st.lists(st.integers(-3, 300), max_size=6), st.booleans())
+def test_scan_matches_oracle_from_any_persisted_subset(d, stops, other):
+    # resumed scans to each stop in turn, whatever the order (a stop at or
+    # below the checkpoint returns nothing), give the cells of one cold
+    # scan, each once; another d's checkpoint in the file stays as it was
+    n_max = max(stops, default=0)
     with tempfile.TemporaryDirectory() as tmp:
         state = Path(tmp) / "cells.txt"
-        state.touch()
-        for n in data.draw(st.permutations(present)):
-            value = oracle(d, n)
-            scan_mod._append(state, ConjectureCell(d, n, value, value.denominator == 1))
-        before = state.read_text(encoding="utf-8")
-        cells = scan_conjecture(d, n_max, state)
-        after = state.read_text(encoding="utf-8")
+        kept = state_line(d + 1, 2 * d + 1) if other else ""
+        state.write_text(kept, encoding="ascii")
+        cells = []
+        for stop in stops:
+            cells += scan_conjecture(d, stop, state)
+        text = state.read_text(encoding="ascii")
+    ns = admissible_n(d, n_max)
     assert [c.n for c in cells] == ns
-    assert all(c.value == oracle(d, c.n) for c in cells)
-    assert after.startswith(before)
-    gained = [ConjectureCell.from_line(line) for line in after[len(before) :].splitlines()]
-    assert [(c.d, c.n) for c in gained] == [(d, n) for n in missing]
-    assert gained == [c for c in cells if c.n in missing]
+    assert all(c.value == oracle(d, c.n) and c.is_integer for c in cells)
+    assert text == kept + (state_line(d, ns[-1]) if ns else "")
 
 
 class TestStateValidation:
     def test_torn_last_line_dropped_and_cut(self, tmp_path, caplog):
         state = tmp_path / "cells.txt"
-        state.write_text("2 3 5 1 1\n2 5 12", encoding="utf-8")
+        whole = state_line(3, 8)
+        state.write_text(whole + "2 5 12", encoding="ascii")
         with caplog.at_level("WARNING"):
-            assert list(load_cells(state)) == [(2, 3)]
+            assert list(load_cells(state)) == [3]
         assert any("torn" in rec.message for rec in caplog.records)
-        assert state.read_text(encoding="utf-8") == "2 3 5 1 1\n"
-        # the next cell lands on a line of its own
-        cells = scan_conjecture(2, 7, state)
-        assert load_cells(state) == {(c.d, c.n): c for c in cells}
+        assert state.read_text(encoding="ascii") == whole + "2 5 12"  # a load changes nothing
+        # d = 2 restarts cold, and the rewrite leaves the torn line out
+        assert scan_conjecture(2, 7, state) == scan_conjecture(2, 7)
+        assert state.read_text(encoding="ascii") == whole + state_line(2, 7)
 
     def test_line_without_newline_is_not_committed(self, tmp_path, caplog):
-        # a complete-looking cell whose newline never landed is dropped too,
-        # then recomputed and written whole
+        # a complete checkpoint whose newline never landed is dropped too
         state = tmp_path / "cells.txt"
-        state.write_text("2 3 5 1 1", encoding="utf-8")
+        state.write_text(state_line(2, 5)[:-1], encoding="ascii")
         with caplog.at_level("WARNING"):
-            cells = scan_conjecture(2, 5, state)
+            cells = scan_conjecture(2, 7, state)
         assert any("torn" in rec.message for rec in caplog.records)
-        assert state.read_text(encoding="utf-8") == "".join(c.line() + "\n" for c in cells)
+        assert [c.n for c in cells] == [3, 5, 7]
+        assert state.read_text(encoding="ascii") == state_line(2, 7)
 
     def test_bad_line_mid_file_names_file_and_line(self, tmp_path):
         state = tmp_path / "cells.txt"
-        state.write_text("2 3 5 1 1\n2 5 12\n2 7 33 1 1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{state}:2: ") + ".*expected 5"):
+        data = (state_line(2, 5) + "2 5 12\n" + state_line(3, 8)).encode()
+        state.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2: ") + ".*expected 'd n acc t crc'"):
             load_cells(state)
+        assert state.read_bytes() == data
 
     def test_bad_newline_terminated_last_line_is_an_error(self, tmp_path):
         state = tmp_path / "cells.txt"
-        state.write_text("2 3 5 1 1\n2 5 12\n", encoding="utf-8")
+        data = (state_line(2, 5) + "2 5 12\n").encode()
+        state.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{state}:2:")):
             scan_conjecture(2, 7, state)
+        assert state.read_bytes() == data
 
     @pytest.mark.parametrize(
         "line, reason",
         [
+            # lines of the value store that the checkpoints replaced, each
+            # inconsistent there for ``reason``: no checkpoints either
             ("2 3 5 1 0", "flag"),  # the integer 5 flagged non-integral
             ("2 3 7 2 1", "flag"),
             ("2 3 10 2 0", "lowest terms"),
             ("2 3 5 0 0", "positive"),
             ("2 3 -5 -1 1", "positive"),
             ("2 3 5 1 x", "invalid literal"),
-            ("2 3 +5 1 1", "invalid literal"),  # int() takes both, int_text writes neither
+            ("2 3 +5 1 1", "invalid literal"),
             ("2 3 0_5 1 1", "invalid literal"),
             ("2 3 5 1 1 1", "expected 5"),
         ],
     )
     def test_inconsistent_line_rejected(self, tmp_path, line, reason):
-        with pytest.raises(ValueError, match=reason):
-            ConjectureCell.from_line(line)
         state = tmp_path / "cells.txt"
-        state.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{state}:1:")):
+        state.write_text(line + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(f"{state}:1: bad state line") + ".*expected 'd n acc t crc'"):
             scan_conjecture(2, 3, state)
+        assert state.read_text(encoding="ascii") == line + "\n"
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            (flip_hex_digit(state_line(2, 5), 5), "CRC-32 does not match"),
+            (state_line(2, 5).replace(" ", "  ", 1), "expected"),
+            (crc_line("2 5 1 -1").replace("\n", "\r\n"), "expected"),
+            (crc_line("2 5 1 -1").upper(), "expected"),
+            (crc_line("2 5 1A -1"), "expected"),
+            (crc_line("2 5 +1a -1"), "expected"),
+            (crc_line("2 5 0x1a -1"), "expected"),
+            (crc_line("2 5 1 -1 0"), "expected"),
+            (crc_line("2 5 1"), "expected"),
+            ("\n", "expected"),
+            (crc_line("1 1 1 -1"), "n = 1 is not admissible for d = 1"),
+            (crc_line("0 1 1 -1"), "n = 1 is not admissible for d = 0"),
+            (crc_line("2 4 1 -1"), "n = 4 is not admissible for d = 2"),
+            (crc_line("3 2 1 -1"), "n = 2 is not admissible for d = 3"),
+            (state_line(3, 5), "a second checkpoint for d = 3"),
+        ],
+    )
+    def test_load_rules(self, tmp_path, line, problem):
+        # each rule names the file and line, and leaves the file as it is
+        state = tmp_path / "cells.txt"
+        data = (state_line(3, 8) + line + state_line(2, 5)).encode()
+        state.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2: bad state line") + ".*" + re.escape(problem)):
+            scan_conjecture(2, 9, state)
+        assert state.read_bytes() == data
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"2 3 5 1 1\n2 5 12 1 1\n",  # a value-store file the checkpoints replaced
+            b"#!/bin/sh\necho 1\n",
+            b"\x89PNG\r\n\x1a\n\x00\x00",
+            b"\n",
+        ],
+        ids=["value-store", "script", "binary", "blank"],
+    )
+    def test_not_a_state_file_left_as_is(self, tmp_path, data):
+        state = tmp_path / "cells.txt"
+        state.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{state}:1: bad state line")):
+            scan_conjecture(2, 7, state)
+        assert state.read_bytes() == data
+
+    def test_wrong_checkpoint_is_an_error_never_a_finding(self, tmp_path):
+        # acc off by one under a valid CRC: the cell at n = 5 comes out
+        # non-integral, its recomputation disagrees, and nothing is written
+        state = tmp_path / "cells.txt"
+        acc = (conjecture_value(2, 3) * 9).numerator
+        data = (state_line(3, 8) + state_line(2, 3, acc + 1)).encode()
+        state.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{state}: the checkpoint for d = 2 at n = 3")):
+            scan_conjecture(2, 9, state)
+        assert state.read_bytes() == data
+
+    def test_n_max_at_or_below_the_checkpoint(self, tmp_path):
+        state = tmp_path / "cells.txt"
+        scan_conjecture(3, 20, state)
+        os.utime(state, ns=(10**9, 10**9))
+        data = state.read_bytes()
+        for n_max in (20, 19, 5, 0, -3):
+            assert scan_conjecture(3, n_max, state) == []
+        assert state.read_bytes() == data and state.stat().st_mtime_ns == 10**9
 
     def test_values_past_int_str_limit_round_trip(self, tmp_path):
-        # str(int) and int(str) refuse more than 4300 digits by default
-        num, den = 7**6000 + 2, 3**9000
-        cell = ConjectureCell(4, 391, F(num, den), False)
-        assert ConjectureCell.from_line(cell.line()) == cell
-        assert rational_text(cell.value).startswith(cell.line().split()[2] + "/")
+        # str(int) and int(str) refuse more than 4300 digits by default; hex does not
+        acc, t = 7**6000 + 2, -(3**9000)
         state = tmp_path / "cells.txt"
-        scan_mod._append(state, cell)
-        assert load_cells(state) == {(4, 391): cell}
+        state.write_text(state_line(4, 391, acc, t), encoding="ascii")
+        assert load_cells(state) == {4: (391, acc, t)}
+        cell = ConjectureCell(4, 391, F(acc, 3**9000), False)
+        assert rational_text(cell.value).startswith(cell.line().split()[2] + "/")
 
     def test_line_not_utf8_names_file_and_line(self, tmp_path):
         state = tmp_path / "cells.txt"
-        state.write_bytes(b"2 3 5 1 1\n\xff\xfe 5\n")
-        with pytest.raises(ValueError, match=re.escape(f"{state}:2: bad state line") + ".*utf-8"):
+        data = state_line(2, 5).encode() + b"\xff\xfe 5\n"
+        state.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{state}:2: bad state line")):
             load_cells(state)
+        assert state.read_bytes() == data
 
     def test_torn_last_line_not_utf8_is_dropped(self, tmp_path, caplog):
         state = tmp_path / "cells.txt"
-        state.write_bytes(b"2 3 5 1 1\n2 5 \xff\xfe")
+        data = state_line(2, 5).encode() + b"2 5 \xff\xfe"
+        state.write_bytes(data)
         with caplog.at_level("WARNING"):
-            assert list(load_cells(state)) == [(2, 3)]
+            assert list(load_cells(state)) == [2]
         assert any(f"{state}:2: dropping torn" in rec.getMessage() for rec in caplog.records)
-        assert state.read_bytes() == b"2 3 5 1 1\n"
+        assert state.read_bytes() == data
 
 
 class TestIncrementalLoad:
+    """A file that changed between scans is read afresh: no load keeps
+    anything for the next."""
+
     def test_same_size_edit_of_line_one_is_caught(self, tmp_path):
-        # the bytes, not the size or mtime, decide what was validated before
+        # the bytes, not the size or mtime, decide what is valid
         state = tmp_path / "cells.txt"
         scan_conjecture(2, 11, state)
-        assert len(load_cells(state)) == 5
         before = state.stat()
-        data = state.read_bytes()
-        first = data.index(b"\n")
-        assert data[first - 1 : first] == b"1"
-        state.write_bytes(data[: first - 1] + b"0" + data[first:])
+        text = state.read_text(encoding="ascii")
+        state.write_text(flip_hex_digit(text, text.index(" ", 5) - 1), encoding="ascii")
         os.utime(state, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert state.stat().st_size == before.st_size
-        with pytest.raises(ValueError, match=re.escape(f"{state}:1: ") + ".*flag"):
+        with pytest.raises(ValueError, match=re.escape(f"{state}:1: ") + ".*CRC"):
             load_cells(state)
-
-    @pytest.mark.parametrize("piece", [10, scan_mod._PIECE])
-    def test_reload_parses_only_appended_lines(self, tmp_path, monkeypatch, piece):
-        monkeypatch.setattr(scan_mod, "_PIECE", piece)
-        state = tmp_path / "cells.txt"
-        scan_conjecture(2, 11, state)
-        load_cells(state)
-        parsed = []
-        real = ConjectureCell.from_line
-        monkeypatch.setattr(ConjectureCell, "from_line", lambda line: parsed.append(line) or real(line))
-        for n_max in (13, 15, 17):
-            scan_conjecture(2, n_max, state)  # loads, then appends one cell
-        assert len(load_cells(state)) == 8
-        assert parsed == state.read_text(encoding="utf-8").splitlines()[5:]
 
     def test_callers_get_fresh_dicts(self, tmp_path):
         state = tmp_path / "cells.txt"
         scan_conjecture(2, 7, state)
+        scan_conjecture(3, 8, state)
         first = load_cells(state)
         first.clear()
-        assert len(load_cells(state)) == 3
+        assert sorted(load_cells(state)) == [2, 3]
 
     def test_appended_lines_numbered_after_the_prefix(self, tmp_path):
         state = tmp_path / "cells.txt"
         scan_conjecture(2, 7, state)
-        load_cells(state)
-        with open(state, "a", encoding="utf-8") as fh:
-            fh.write("2 9 1 1 1\n2 11 3 2 1\n")
-        with pytest.raises(ValueError, match=re.escape(f"{state}:5: ") + ".*flag"):
+        scan_conjecture(3, 8, state)
+        with open(state, "a", encoding="ascii") as fh:
+            fh.write(state_line(4, 7) + state_line(2, 3))
+        with pytest.raises(ValueError, match=re.escape(f"{state}:4: ") + ".*second checkpoint for d = 2"):
             load_cells(state)
-
-
-@contextmanager
-def scan_warnings():
-    """Collect the messages scan logs at WARNING and above."""
-    messages = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger(scan_mod.__name__)
-    logger.addHandler(handler)
-    try:
-        yield messages
-    finally:
-        logger.removeHandler(handler)
-
-
-def load_outcome(load, path):
-    """What a reader shows for path: its cells or its error text, the
-    warnings it logged and the file bytes it left behind."""
-    with scan_warnings() as messages:
-        try:
-            result = load(path)
-        except ValueError as exc:
-            result = f"ValueError: {exc}"
-    return result, messages, path.read_bytes() if path.exists() else None
-
-
-cell_lines = st.builds(
-    lambda d, n, num, den: ConjectureCell(d, n, F(num, den), F(num, den).denominator == 1).line(),
-    st.integers(2, 4),
-    st.integers(1, 40),
-    st.integers(-10**6, 10**6),
-    st.integers(1, 12),
-)
-BAD_LINES = ["2 5 12", "2 3 5 1 0", "2 3 10 2 0", "2 3 5 0 0", "x", "2 3 5 1 1 é", "   "]
-appends = st.tuples(st.just("append"), cell_lines)
-operations = st.one_of(
-    appends,  # listed four times: a scan mostly appends
-    appends,
-    appends,
-    appends,
-    st.tuples(st.just("torn"), cell_lines, st.integers(1, 30)),
-    st.tuples(st.just("flip"), st.integers(0, 50)),
-    st.tuples(st.just("redigit"), st.integers(0, 50)),
-    st.tuples(st.just("replace"), st.integers(0, 50), cell_lines),
-    st.tuples(st.just("extend"), st.integers(0, 50), st.sampled_from(["0", "1", " 1"])),
-    st.tuples(st.just("truncate"), st.integers(0, 50)),
-    st.tuples(st.just("bad"), st.integers(0, 50), st.sampled_from(BAD_LINES)),
-    st.tuples(st.just("fork"), st.integers(0, 50)),
-    st.tuples(st.just("switch")),
-)
-
-
-def apply(op, data):
-    """The file bytes after one operation on a state file holding data
-    ("fork" and "switch" act on which file is current, not on data)."""
-    lines = data.split(b"\n")
-    tail = lines.pop()
-    kind = op[0]
-    if kind == "append":
-        return data + op[1].encode() + b"\n"
-    if kind == "torn":
-        return data + op[1].encode()[: op[2]]
-    if kind == "truncate":
-        return b"".join(line + b"\n" for line in lines[: op[1] % (len(lines) + 1)])
-    if kind == "bad":
-        lines.insert(op[1] % (len(lines) + 1), op[2].encode())
-    elif lines and kind == "flip":  # same length: toggle a final 0/1 flag
-        i = op[1] % len(lines)
-        flag = lines[i][-1:]
-        if flag in (b"0", b"1"):
-            lines[i] = lines[i][:-1] + (b"1" if flag == b"0" else b"0")
-    elif lines and kind == "redigit":  # same length: change a line's first digit (its d)
-        i = op[1] % len(lines)
-        if lines[i][:1].isdigit():
-            lines[i] = b"%d" % ((int(lines[i][:1]) + 1) % 10) + lines[i][1:]
-    elif lines and kind == "replace":  # usually a different length
-        lines[op[1] % len(lines)] = op[2].encode()
-    elif lines and kind == "extend":  # longer, keeping the line's bytes as a prefix
-        lines[op[1] % len(lines)] += op[2].encode()
-    return b"".join(line + b"\n" for line in lines) + tail
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(operations, min_size=4, max_size=20), st.sampled_from([1, 5, 64, scan_mod._PIECE]))
-def test_incremental_load_matches_whole_file_oracle(ops, piece):
-    # small piece sizes split the snapshot of these small files many ways
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan_mod, "_PIECE", piece):
-        paths = [Path(tmp) / "a.txt", Path(tmp) / "b.txt"]
-        current = 0
-        for op in ops:
-            path = paths[current]
-            data = path.read_bytes() if path.exists() else b""
-            if op[0] == "switch":
-                current = 1 - current
-            elif op[0] == "fork":  # the other file gets a line prefix of this one
-                current = 1 - current
-                paths[current].write_bytes(apply(("truncate", op[1]), data))
-            else:
-                path.write_bytes(apply(op, data))
-            path = paths[current]
-            before = path.read_bytes() if path.exists() else None
-            expected = load_outcome(whole_file_load_cells, path)
-            if before is not None:
-                path.write_bytes(before)
-            assert load_outcome(load_cells, path) == expected
